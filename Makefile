@@ -96,9 +96,15 @@ test-domains:
 # unix socket with qlog capture on, drive it through the client, shut
 # the server down cleanly, then replay the captured log against a fresh
 # engine — the replay command exits non-zero unless every answer digest
-# is byte-identical to the one recorded at capture time. Invokes the
-# built binary directly: `dune exec` takes the build lock, which would
-# deadlock the backgrounded server against the foreground client.
+# is byte-identical to the one recorded at capture time.  The client's
+# replies are kept in _build/replay_smoke/replies.jsonl and checked for
+# served digests: each round is [query, query, batch]; rounds 2 and 3
+# are cache hits answered with memoised digests, which must equal round
+# 1's per request, and every reply's digest must equal its qlog event's
+# (matched by trace_id; a batch logs the MD5 of its answers' digests).
+# Invokes the built binary directly: `dune exec` takes the build lock,
+# which would deadlock the backgrounded server against the foreground
+# client.
 replay-smoke: build
 	@rm -rf _build/replay_smoke && mkdir -p _build/replay_smoke
 	@EXPFINDER_QLOG=_build/replay_smoke/qlog.jsonl \
@@ -111,9 +117,34 @@ replay-smoke: build
 	$(EXE) client --socket _build/replay_smoke/sock --ping \
 	  -q workloads/smoke/paper.pattern -q workloads/smoke/sa.pattern \
 	  --batch workloads/smoke/queries.batch --repeat 3 --shutdown \
-	  >/dev/null \
+	  > _build/replay_smoke/replies.jsonl \
 	  || { kill $$pid 2>/dev/null; echo "replay-smoke: client failed"; exit 1; }; \
 	wait $$pid; \
+	grep '"trace_id"' _build/replay_smoke/replies.jsonl | { \
+	  n=0; \
+	  while IFS= read -r line; do \
+	    tid=$$(printf '%s\n' "$$line" | sed 's/.*"trace_id":"\([0-9a-f]*\)".*/\1/'); \
+	    ds=$$(printf '%s\n' "$$line" | grep -o '"digest":"[0-9a-f]*"' | cut -d'"' -f4); \
+	    sig=$$(printf '%s' "$$ds" | tr -d '\n'); \
+	    if [ "$$(printf '%s\n' "$$ds" | wc -l)" -eq 1 ]; then want=$$sig; \
+	    else want=$$(printf '%s' "$$sig" | md5sum | cut -d' ' -f1); fi; \
+	    logged=$$(grep "\"trace_id\":\"$$tid\"" _build/replay_smoke/qlog.jsonl \
+	      | grep -o '"digest":"[0-9a-f]*"' | cut -d'"' -f4); \
+	    [ -n "$$sig" ] && [ "$$want" = "$$logged" ] \
+	      || { echo "replay-smoke: reply $$n digest $$want, qlog has '$$logged'"; exit 1; }; \
+	    if [ $$n -lt 3 ]; then eval "round1_$$n=$$sig"; \
+	    else \
+	      eval "first=\$$round1_$$((n % 3))"; \
+	      [ "$$sig" = "$$first" ] \
+	        || { echo "replay-smoke: cache-hit reply $$n digest differs from round 1"; exit 1; }; \
+	      printf '%s\n' "$$line" | grep -o '"provenance":"[^"]*"' | grep -qv '"cache"' \
+	        && { echo "replay-smoke: reply $$n of a repeat round missed the cache"; exit 1; }; \
+	    fi; \
+	    n=$$((n + 1)); \
+	  done; \
+	  [ $$n -eq 9 ] || { echo "replay-smoke: want 9 query/batch replies, got $$n"; exit 1; }; \
+	  echo "replay-smoke: $$n served digests agree across rounds and with the qlog"; \
+	} || exit 1; \
 	$(EXE) replay _build/replay_smoke/qlog.jsonl -g workloads/smoke/collab.graph
 
 # Long-horizon telemetry smoke gate. A healthy soak first: query and

@@ -55,24 +55,46 @@ let of_pairs ~pattern_size ~graph_size pair_list =
   List.iter (fun (u, v) -> add t u v) pair_list;
   t
 
+(* Decimal writer for [digest]: [decimal_width n] is the digit count of
+   [n >= 0], [put_decimal b pos n] writes [n] at [pos] and returns the
+   position after it. *)
+let rec decimal_width n =
+  if n < 10 then 1
+  else if n < 100 then 2
+  else if n < 1000 then 3
+  else if n < 10000 then 4
+  else 4 + decimal_width (n / 10000)
+
+let put_decimal b pos n =
+  let width = decimal_width n in
+  let n = ref n in
+  for i = pos + width - 1 downto pos do
+    Bytes.set b i (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
+  done;
+  pos + width
+
 (* Canonical content digest: pattern size plus every (u, v) pair in
    lexicographic order, hashed with MD5.  Two relations digest equally
    iff they hold the same pairs over the same pattern size, regardless
    of graph_size padding — the stability the qlog/replay loop needs
-   across processes. *)
+   across processes.  The text ["n|0,v,v|1,v..."] is written into one
+   buffer sized up front from the pair count and the widest index. *)
 let digest t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (string_of_int (pattern_size t));
-  for u = 0 to pattern_size t - 1 do
-    Buffer.add_char buf '|';
-    Buffer.add_string buf (string_of_int u);
-    List.iter
+  let n = pattern_size t in
+  let uw = decimal_width n and vw = decimal_width (max 0 (t.graph_size - 1)) in
+  let b = Bytes.create (uw + (n * (1 + uw)) + (total t * (1 + vw))) in
+  let pos = ref (put_decimal b 0 n) in
+  for u = 0 to n - 1 do
+    Bytes.set b !pos '|';
+    pos := put_decimal b (!pos + 1) u;
+    Bitset.iter
       (fun v ->
-        Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int v))
-      (matches t u)
+        Bytes.set b !pos ',';
+        pos := put_decimal b (!pos + 1) v)
+      t.sets.(u)
   done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Digest.to_hex (Digest.subbytes b 0 !pos)
 
 let copy t = { sets = Array.map Bitset.copy t.sets; graph_size = t.graph_size }
 

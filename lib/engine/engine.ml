@@ -77,6 +77,7 @@ type answer = {
   total : bool;
   provenance : provenance;
   profile : profile option;
+  digest : string Lazy.t;
 }
 
 type expert = { node : int; name : string option; rank : Ranking.rank }
@@ -267,17 +268,19 @@ let from_containment ?(domains = 1) t pattern ~snap =
 
 (* The untraced core of [evaluate]: cache -> registered kernel ->
    compressed -> cached superset (containment) -> ball index -> planner,
-   returning the relation, where it came from, a strategy label for the
-   flight recorder, and whether this call just computed it via the
-   direct path (the differential checker re-verifies everything
-   else). *)
+   returning the snapshot it pinned, the relation, where it came from, a
+   strategy label for the flight recorder, and whether this call just
+   computed it via the direct path (the differential checker re-verifies
+   everything else).  The pinned snapshot, not a later [snapshot t],
+   keys everything downstream: the writer may publish a newer epoch
+   before the reply is written. *)
 let evaluate_inner t pattern =
   let snap = snapshot t in
   let sid = Snapshot.id snap in
   match
     with_span "cache.lookup" (fun () -> Cache.find t.cache pattern ~snapshot:sid)
   with
-  | Some relation -> (relation, From_cache, "cache", false)
+  | Some relation -> (snap, relation, From_cache, "cache", false)
   | None ->
     let fast =
       with_maint_opt t ~skip:t.cm.m_maint_skip_fast (fun () ->
@@ -330,7 +333,7 @@ let evaluate_inner t pattern =
               true )))
     in
     Cache.store t.cache pattern ~snapshot:sid relation;
-    (relation, provenance, strategy, via_direct)
+    (snap, relation, provenance, strategy, via_direct)
 
 (* EXPFINDER_CHECK=1 sanitizer: any answer that did not just come out of
    the direct path is re-evaluated directly and compared (as a query
@@ -338,11 +341,10 @@ let evaluate_inner t pattern =
    served relation is run through the {!Verify} pair-validity and
    maximality spot checks.  Raises on divergence — the point is to fail
    tests and benches loudly. *)
-let differential_check t pattern relation provenance ~via_direct =
+let differential_check pattern relation provenance ~snap ~via_direct =
   if Verify.differential () then begin
     Counter.incr m_differential;
     try
-      let snap = snapshot t in
       if not via_direct then begin
         let direct = with_span "verify.differential" (fun () -> run_direct pattern snap) in
         if not (Verify.semantically_equal relation direct) then
@@ -384,10 +386,10 @@ let profiled ?(trace = Trace.ambient) t ~root ~attrs ~query f =
 (* Query-log plumbing.  The digest and the replayable payload are only
    materialised when a sink is configured, so the unlogged serving path
    pays nothing beyond the [Qlog.enabled] check. *)
-let qlog_emit t ~kind ~query ~strategy ~duration_ms ~counters ~pairs ~digest ?(trace_id = "")
-    ?error ?payload () =
+let qlog_emit t ?snap ~kind ~query ~strategy ~duration_ms ~counters ~pairs ~digest
+    ?(trace_id = "") ?error ?payload () =
   if Qlog.enabled () then begin
-    let snap = Atomic.get t.snap in
+    let snap = match snap with Some s -> s | None -> Atomic.get t.snap in
     Qlog.emit ~kind ~graph_id:(Snapshot.graph_id snap) ~epoch:(Snapshot.epoch snap)
       ~query ~strategy ~duration_ms ~counters ~pairs ~digest ~trace_id ?error ?payload ()
   end
@@ -420,14 +422,29 @@ let batch_payload patterns =
 let update_payload updates =
   if Qlog.enabled () then Some (Json.Arr (List.map Update.to_json updates)) else None
 
-let relation_digest relation = if Qlog.enabled () then Match_relation.digest relation else ""
+(* The logged digests force the answers' own lazy digests, so a logged
+   served request hashes each relation at most once. *)
+let answer_digest (a : answer) = if Qlog.enabled () then Lazy.force a.digest else ""
 
 (* The combined answer digest of a batch: MD5 over the per-answer
    digests in input order — replay recomputes the same fold, so one
    field verifies the whole batch. *)
-let batch_digest relations =
-  Digest.to_hex
-    (Digest.string (String.concat "" (List.map Match_relation.digest relations)))
+let batch_digest answers =
+  if Qlog.enabled () then
+    Digest.to_hex
+      (Digest.string (String.concat "" (List.map (fun a -> Lazy.force a.digest) answers)))
+  else ""
+
+(* An answer's digest, memoised on the cache entry stored under the
+   pattern and the snapshot the answer was computed on. *)
+let answer_of t pattern ~snap relation provenance profile =
+  {
+    relation;
+    total = Match_relation.is_total relation;
+    provenance;
+    profile;
+    digest = lazy (Cache.digest t.cache pattern ~snapshot:(Snapshot.id snap) relation);
+  }
 
 let evaluate_unlabelled ?(trace = Trace.ambient) t pattern =
   (* Flight recorder bookkeeping is always on (unlike profiles): snapshot
@@ -439,12 +456,12 @@ let evaluate_unlabelled ?(trace = Trace.ambient) t pattern =
   let trace_id = trace.Trace.trace_id in
   match
     profiled ~trace t ~root:"evaluate" ~attrs:[ ("query", fp) ] ~query:fp (fun () ->
-        let relation, provenance, strategy, via_direct = evaluate_inner t pattern in
-        differential_check t pattern relation provenance ~via_direct;
+        let snap, relation, provenance, strategy, via_direct = evaluate_inner t pattern in
+        differential_check pattern relation provenance ~snap ~via_direct;
         Counter.incr (provenance_counter provenance);
         annotate "provenance" (provenance_name provenance);
         annotate_int "pairs" (Match_relation.total relation);
-        ((relation, provenance, strategy), provenance))
+        ((snap, relation, provenance, strategy), provenance))
   with
   | exception e ->
     let duration_ms = (now_us () -. rec_start) /. 1000.0 in
@@ -454,21 +471,22 @@ let evaluate_unlabelled ?(trace = Trace.ambient) t pattern =
     qlog_emit t ~kind:Qlog.Query ~query:fp ~strategy:"error" ~duration_ms ~counters ~pairs:0
       ~digest:"" ~trace_id ~error:(Printexc.to_string e) ?payload:(pattern_payload pattern) ();
     raise e
-  | (relation, provenance, strategy), profile ->
+  | (snap, relation, provenance, strategy), profile ->
     let duration_ms = (now_us () -. rec_start) /. 1000.0 in
     let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
     Recorder.record ~trace_id ~query:fp ~strategy ~duration_ms ~counters ();
     observe_traced ~trace ~window:w_query ~op:"query" ~query:fp ~duration_ms ~error:false
       ?root:(Option.map (fun p -> p.span) profile)
       ();
-    qlog_emit t ~kind:Qlog.Query ~query:fp ~strategy ~duration_ms ~counters
+    let answer = answer_of t pattern ~snap relation provenance profile in
+    qlog_emit t ~snap ~kind:Qlog.Query ~query:fp ~strategy ~duration_ms ~counters
       ~pairs:(Match_relation.total relation)
-      ~digest:(relation_digest relation)
+      ~digest:(answer_digest answer)
       ~trace_id ?payload:(pattern_payload pattern) ();
     Log.debug (fun m ->
         m "evaluate %s: %d pairs via %s" fp (Match_relation.total relation)
           (provenance_name provenance));
-    { relation; total = Match_relation.is_total relation; provenance; profile }
+    answer
 
 (* Allocation attribution: while the memprof sampler is active, bytes
    allocated under each op class are charged to its label. *)
@@ -602,7 +620,7 @@ let evaluate_batch_unlabelled ?(trace = Trace.ambient)
                     (relation, Direct)
             in
             Cache.store t.cache pattern ~snapshot:sid relation;
-            differential_check t pattern relation provenance ~via_direct:false;
+            differential_check pattern relation provenance ~snap ~via_direct:false;
             Counter.incr (provenance_counter provenance);
             results.(i) <- Some (relation, provenance))
           order;
@@ -640,25 +658,23 @@ let evaluate_batch_unlabelled ?(trace = Trace.ambient)
     observe_traced ~trace ~window:w_batch ~op:"batch" ~query:label ~duration_ms ~error:false
       ?root:(Option.map (fun p -> p.span) batch_profile)
       ();
-    let relations =
+    let answers =
       List.mapi
-        (fun i _ -> match results.(i) with Some (r, _) -> r | None -> assert false)
+        (fun i pattern ->
+          match results.(i) with
+          | Some (relation, provenance) ->
+            (* Per-answer profiles are not split out of the shared batch run;
+               the whole-batch profile is available via [last_profile]. *)
+            answer_of t pattern ~snap relation provenance None
+          | None -> assert false)
         patterns
     in
-    qlog_emit t ~kind:Qlog.Batch ~query:label ~strategy:"batch" ~duration_ms ~counters
-      ~pairs:(List.fold_left (fun acc r -> acc + Match_relation.total r) 0 relations)
-      ~digest:(if Qlog.enabled () then batch_digest relations else "")
-      ~trace_id:trace.Trace.trace_id ?payload:(batch_payload patterns) ();
+    qlog_emit t ~snap ~kind:Qlog.Batch ~query:label ~strategy:"batch" ~duration_ms ~counters
+      ~pairs:(List.fold_left (fun acc a -> acc + Match_relation.total a.relation) 0 answers)
+      ~digest:(batch_digest answers) ~trace_id:trace.Trace.trace_id
+      ?payload:(batch_payload patterns) ();
     Log.debug (fun m -> m "evaluate_batch: %d queries on %a" n Snapshot.pp_id snap);
-    List.mapi
-      (fun i _ ->
-        match results.(i) with
-        | Some (relation, provenance) ->
-          (* Per-answer profiles are not split out of the shared batch run;
-             the whole-batch profile is available via [last_profile]. *)
-          { relation; total = Match_relation.is_total relation; provenance; profile = None }
-        | None -> assert false)
-      patterns
+    answers
 
 let evaluate_batch ?trace ?domains t patterns =
   Alloc.with_label "batch" (fun () ->

@@ -70,6 +70,14 @@ type answer = {
   profile : profile option;
       (** present when telemetry is enabled and this call owned the
           trace (i.e. it was not nested under another traced call) *)
+  digest : string Lazy.t;
+      (** {!Expfinder_core.Match_relation.digest} of [relation] as
+          answered, computed on first force.  It is memoised on the
+          cache entry of the pattern and the snapshot this call pinned
+          ({!Expfinder_storage.Cache.digest}), so repeated hits on one
+          entry hash it once; callers that never force it pay nothing.
+          Mutating [relation] before the first force makes this the
+          mutated relation's digest. *)
 }
 
 type expert = {

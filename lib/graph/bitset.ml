@@ -28,24 +28,45 @@ let remove t i =
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
-(* Kernighan's trick: one iteration per set bit. *)
+(* Branch-free SWAR popcount for a 63-bit word (bit 62 is the sign bit,
+   so [lsr], never [asr]).  The pair and nibble masks stop below bit 62:
+   the lone top bit counts itself in the first step, and its nibble and
+   byte sums stay far below their field widths.  The multiply gathers
+   the byte counts into bits 56..62. *)
 let popcount x =
-  let rec kern x acc = if x = 0 then acc else kern (x land (x - 1)) (acc + 1) in
-  kern x 0
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
+let cardinal t =
+  let n = ref 0 in
+  for w = 0 to Array.length t.words - 1 do
+    n := !n + popcount t.words.(w)
+  done;
+  !n
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+(* Index of the lowest set bit of a nonzero word: six halvings. *)
+let lowest_bit x =
+  let x = ref x and n = ref 0 in
+  if !x land 0xffff_ffff = 0 then (n := 32; x := !x lsr 32);
+  if !x land 0xffff = 0 then (n := !n + 16; x := !x lsr 16);
+  if !x land 0xff = 0 then (n := !n + 8; x := !x lsr 8);
+  if !x land 0xf = 0 then (n := !n + 4; x := !x lsr 4);
+  if !x land 0x3 = 0 then (n := !n + 2; x := !x lsr 2);
+  if !x land 0x1 = 0 then !n + 1 else !n
+
+(* Each word is read once, so [f] may mutate the set: it sees the word
+   as it was when iteration reached it. *)
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
     let word = ref t.words.(w) in
+    let base = w * bits_per_word in
     while !word <> 0 do
-      let bit = !word land - !word in
-      (* index of lowest set bit *)
-      let rec log2 b acc = if b = 1 then acc else log2 (b lsr 1) (acc + 1) in
-      f ((w * bits_per_word) + log2 bit 0);
-      word := !word land lnot bit
+      f (base + lowest_bit !word);
+      word := !word land (!word - 1)
     done
   done
 

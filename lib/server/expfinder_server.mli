@@ -28,7 +28,12 @@ open Expfinder_telemetry
     ["ok": bool]; failures carry ["error": string] and never kill the
     server.  Query/batch responses include the answer [digest]
     ({!Expfinder_core.Match_relation.digest}), so clients can
-    cross-check replays.
+    cross-check replays.  The reply reads the answer's lazy
+    {!Expfinder_engine.Engine.answer} [digest], which is computed at
+    most once per cache entry and keyed to the snapshot the request
+    pinned when it was evaluated (not the engine's current one, which a
+    concurrent update may already have advanced): a cache hit replies
+    with the memoised digest instead of re-hashing the relation.
 
     Request tracing: every [query]/[batch]/[update] request runs under
     an explicit {!Trace.ctx}.  A request may propagate one in a

@@ -20,6 +20,7 @@ type entry = {
   pattern : Pattern.t;
   relation : Match_relation.t;
   mutable stamp : int;
+  mutable digest : string option;  (* memoised [Match_relation.digest relation] *)
 }
 
 type t = {
@@ -34,6 +35,7 @@ type t = {
   hit_count : Counter.t;
   miss_count : Counter.t;
   eviction_count : Counter.t;
+  digest_count : Counter.t;
 }
 
 let create ?(capacity = 64) () =
@@ -46,6 +48,7 @@ let create ?(capacity = 64) () =
     hit_count = Counter.create ~always:true "cache.hits";
     miss_count = Counter.create ~always:true "cache.misses";
     eviction_count = Counter.create ~always:true "cache.evictions";
+    digest_count = Counter.create ~always:true "cache.digests";
   }
 
 let locked t f =
@@ -105,7 +108,32 @@ let store t pattern ~snapshot relation =
       then evict_lru t;
       Counter.incr m_stores;
       Hashtbl.replace t.table key
-        { key; pattern; relation = Match_relation.copy relation; stamp = tick t })
+        {
+          key;
+          pattern;
+          relation = Match_relation.copy relation;
+          stamp = tick t;
+          digest = None;
+        })
+
+(* The memo is only trusted for an entry that still holds [relation]'s
+   content: the key may have been re-stored with another relation, and
+   a caller may have mutated its copy.  The hash runs outside the lock;
+   two domains forcing the same fresh entry may both compute it. *)
+let digest t pattern ~snapshot relation =
+  let key = key_of pattern snapshot in
+  let live () =
+    match Hashtbl.find_opt t.table key with
+    | Some entry when Match_relation.equal entry.relation relation -> Some entry
+    | Some _ | None -> None
+  in
+  match locked t (fun () -> Option.bind (live ()) (fun entry -> entry.digest)) with
+  | Some d -> d
+  | None ->
+    Counter.incr t.digest_count;
+    let d = Match_relation.digest relation in
+    locked t (fun () -> Option.iter (fun entry -> entry.digest <- Some d) (live ()));
+    d
 
 let fold t ~snapshot ~init ~f =
   locked t (fun () ->
@@ -138,3 +166,5 @@ let hits t = Counter.value t.hit_count
 let misses t = Counter.value t.miss_count
 
 let evictions t = Counter.value t.eviction_count
+
+let digests t = Counter.value t.digest_count

@@ -23,7 +23,11 @@ open Expfinder_core
     domain-pool server, any worker domain probes and stores while the
     writer domain clears on update, and the LRU clock/stamp updates are
     read-modify-write.  Probes return defensive copies taken under the
-    lock, so callers never share a relation with the cache. *)
+    lock, so callers never share a relation with the cache.
+
+    Each entry also memoises its answer digest ({!digest}): a served
+    cache hit replies with the digest hashed when the entry was first
+    asked for it, instead of re-hashing the relation. *)
 
 type t
 
@@ -40,6 +44,18 @@ val find : t -> Pattern.t -> snapshot:Snapshot.identity -> Match_relation.t opti
 val store : t -> Pattern.t -> snapshot:Snapshot.identity -> Match_relation.t -> unit
 (** Insert (copying the relation), evicting the least recently used
     entry when full. *)
+
+val digest : t -> Pattern.t -> snapshot:Snapshot.identity -> Match_relation.t -> string
+(** [digest t p ~snapshot r] is [Match_relation.digest r].  When the
+    entry stored under [(p, snapshot)] holds a relation equal to [r],
+    the digest is memoised on that entry: it is computed at most once
+    per entry (two domains racing on a fresh entry may both compute
+    it), and later calls return the memo.  The memo lives and dies with
+    its entry — LRU eviction, {!clear}, {!invalidate_snapshot} and a
+    re-{!store} of the same key all drop it.  The [snapshot] must be the
+    identity the answer was computed on, not a later one: after an
+    epoch advance the key names a different entry (or none), and the
+    digest is computed from [r] without a memo. *)
 
 val fold :
   t ->
@@ -69,3 +85,7 @@ val misses : t -> int
 val evictions : t -> int
 (** Entries dropped by LRU pressure (not by {!clear} /
     {!invalidate_snapshot}). *)
+
+val digests : t -> int
+(** Digests {!digest} computed rather than read from a memo, over the
+    cache's lifetime (not reset by {!clear}). *)

@@ -161,6 +161,57 @@ let test_match_relation_ops () =
   Match_relation.clear m;
   Alcotest.(check int) "cleared" 0 (Match_relation.total m)
 
+(* The list-based digest the word-walking kernel replaced, kept as the
+   reference for the wire format. *)
+let reference_digest m =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (string_of_int (Match_relation.pattern_size m));
+  for u = 0 to Match_relation.pattern_size m - 1 do
+    Buffer.add_char buf '|';
+    Buffer.add_string buf (string_of_int u);
+    List.iter
+      (fun v ->
+        Buffer.add_char buf ',';
+        Buffer.add_string buf (string_of_int v))
+      (Match_relation.matches m u)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Random relations biased towards the edges of the word layout: empty
+   sets, the last index, and indices in bit 62 (the sign bit) of a
+   word. *)
+let prop_digest_matches_reference seed =
+  let rng = Prng.create seed in
+  let pattern_size = 1 + Prng.int rng 5 in
+  let graph_size = 1 + Prng.int rng 400 in
+  let m = Match_relation.create ~pattern_size ~graph_size in
+  for u = 0 to pattern_size - 1 do
+    if Prng.int rng 4 > 0 then
+      for _ = 0 to Prng.int rng 40 do
+        let v =
+          match Prng.int rng 3 with
+          | 0 -> graph_size - 1
+          | 1 -> min (graph_size - 1) ((63 * Prng.int rng 7) + 62)
+          | _ -> Prng.int rng graph_size
+        in
+        Match_relation.add m u v
+      done
+  done;
+  Match_relation.digest m = reference_digest m
+
+let test_digest_golden () =
+  (* Pins the wire format: the MD5 of "3|0,0,61,62,63,125,199|1|2,7,62". *)
+  let m =
+    Match_relation.of_pairs ~pattern_size:3 ~graph_size:200
+      [ (0, 0); (0, 61); (0, 62); (0, 63); (0, 125); (0, 199); (2, 7); (2, 62) ]
+  in
+  Alcotest.(check string) "golden" "893123b91f2621018aab5db31d4e11ef" (Match_relation.digest m);
+  Alcotest.(check string) "reference" (reference_digest m) (Match_relation.digest m);
+  Alcotest.(check string) "graph_size padding is not hashed"
+    (Match_relation.digest m)
+    (Match_relation.digest
+       (Match_relation.of_pairs ~pattern_size:3 ~graph_size:100_000 (Match_relation.pairs m)))
+
 (* --- Candidates ----------------------------------------------------------- *)
 
 let test_candidates_respect_predicates () =
@@ -376,6 +427,8 @@ let test_drill_down () =
 
 let qcheck_cases =
   [
+    QCheck.Test.make ~count:300 ~name:"digest = list-based reference" QCheck.small_int
+      (fun s -> prop_digest_matches_reference (s + 1));
     QCheck.Test.make ~count:100 ~name:"simulation = reference" QCheck.small_int (fun s ->
         prop_simulation_matches_reference (s + 1));
     QCheck.Test.make ~count:100 ~name:"bsim counters = reference" QCheck.small_int (fun s ->
@@ -402,6 +455,7 @@ let () =
       ( "match_relation",
         [
           Alcotest.test_case "operations" `Quick test_match_relation_ops;
+          Alcotest.test_case "digest golden" `Quick test_digest_golden;
           Alcotest.test_case "candidates" `Quick test_candidates_respect_predicates;
         ] );
       ( "degenerate",

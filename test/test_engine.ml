@@ -78,6 +78,58 @@ let test_updates_invalidate_cache () =
   Alcotest.(check bool) "fresh answer" true (after.Engine.provenance <> Engine.From_cache);
   Alcotest.(check bool) "Fred matched now" true (Match_relation.mem after.Engine.relation 1 Collab.fred)
 
+let digest_of (a : Engine.answer) = Lazy.force a.Engine.digest
+
+let test_digest_follows_epoch () =
+  (* The memoised digest is keyed to the snapshot each answer was
+     computed on: a hit after an update reports the new epoch's digest,
+     and an answer from before the update still reports its own. *)
+  let engine = Engine.create (Collab.graph ()) in
+  let q = Collab.query () in
+  let first = Engine.evaluate engine q in
+  let d0 = digest_of first in
+  Alcotest.(check string) "miss digest" (Match_relation.digest first.Engine.relation) d0;
+  let old_hit = Engine.evaluate engine q in
+  Alcotest.(check bool) "old hit" true (old_hit.Engine.provenance = Engine.From_cache);
+  ignore (Engine.apply_updates engine [ Update.Insert_edge (fst Collab.e1, snd Collab.e1) ]
+           : Incremental.report list);
+  let miss = Engine.evaluate engine q in
+  let hit = Engine.evaluate engine q in
+  Alcotest.(check bool) "new hit" true (hit.Engine.provenance = Engine.From_cache);
+  let d1 = Match_relation.digest (Planner.run q (Engine.snapshot engine)) in
+  Alcotest.(check bool) "the update changed the answer" true (d0 <> d1);
+  Alcotest.(check string) "new miss digest" d1 (digest_of miss);
+  Alcotest.(check string) "new hit digest" d1 (digest_of hit);
+  Alcotest.(check string) "pre-update hit keeps its epoch's digest" d0 (digest_of old_hit)
+
+let test_batch_digests () =
+  (* Duplicates and cache hits inside a batch carry their relation's
+     digest, equal to the single-query answer's. *)
+  let engine = Engine.create (Collab.graph ()) in
+  let q = Collab.query () and q1 = Collab.q1 () in
+  let check_answers label answers =
+    List.iter
+      (fun (a : Engine.answer) ->
+        Alcotest.(check string) label (Match_relation.digest a.Engine.relation) (digest_of a))
+      answers
+  in
+  match Engine.evaluate_batch engine [ q; q1; q ] with
+  | [ a0; a1; a2 ] as cold ->
+    check_answers "cold batch" cold;
+    Alcotest.(check bool) "duplicate from cache" true (a2.Engine.provenance = Engine.From_cache);
+    Alcotest.(check string) "duplicate digest" (digest_of a0) (digest_of a2);
+    (match Engine.evaluate_batch engine [ q1; q ] with
+    | [ b1; b0 ] as warm ->
+      check_answers "warm batch" warm;
+      Alcotest.(check bool) "warm hits" true
+        (b0.Engine.provenance = Engine.From_cache && b1.Engine.provenance = Engine.From_cache);
+      Alcotest.(check string) "hit digest q" (digest_of a0) (digest_of b0);
+      Alcotest.(check string) "hit digest q1" (digest_of a1) (digest_of b1)
+    | _ -> Alcotest.fail "expected two answers");
+    Alcotest.(check string) "batch digest = query digest" (digest_of a0)
+      (digest_of (Engine.evaluate engine q))
+  | _ -> Alcotest.fail "expected three answers"
+
 let test_registered_query_maintained () =
   let engine = Engine.create (Collab.graph ()) in
   let q = Collab.query () in
@@ -299,5 +351,7 @@ let () =
           Alcotest.test_case "cache invalidation" `Quick test_updates_invalidate_cache;
           Alcotest.test_case "registered maintained" `Quick test_registered_query_maintained;
           Alcotest.test_case "consistency stream" `Quick test_engine_consistency_under_updates;
+          Alcotest.test_case "digest follows the epoch" `Quick test_digest_follows_epoch;
+          Alcotest.test_case "batch digests" `Quick test_batch_digests;
         ] );
     ]

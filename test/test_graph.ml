@@ -114,6 +114,55 @@ let test_bitset_setops () =
   Alcotest.(check bool) "subset" true (Bitset.subset i u);
   Alcotest.(check bool) "not subset" false (Bitset.subset u i)
 
+(* Reference popcount (Kernighan's loop, one step per set bit). *)
+let kernighan x =
+  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
+  go x 0
+
+(* A bitset holding exactly the bits of [words], 63 per word (the
+   backing layout), so [cardinal] sees each word as written. *)
+let bitset_of_words words =
+  let s = Bitset.create (63 * List.length words) in
+  List.iteri
+    (fun w word ->
+      for b = 0 to 62 do
+        if (word lsr b) land 1 = 1 then Bitset.add s ((63 * w) + b)
+      done)
+    words;
+  s
+
+let prop_cardinal_is_popcount words =
+  Bitset.cardinal (bitset_of_words words)
+  = List.fold_left (fun acc w -> acc + kernighan w) 0 words
+
+(* [iter] visits exactly the members, in increasing order. *)
+let prop_iter_is_filter_mem (n, members) =
+  let s = Bitset.create n in
+  List.iter (fun i -> Bitset.add s (i mod n)) members;
+  let seen = ref [] in
+  Bitset.iter (fun i -> seen := i :: !seen) s;
+  List.rev !seen = List.filter (Bitset.mem s) (List.init n Fun.id)
+
+let test_bitset_iter_mutation () =
+  (* Each word is read once, when iteration reaches it: removing a bit of
+     the current word does not hide it, removing one of a later word
+     does, and adding to a later word is seen. *)
+  let s = Bitset.create 200 in
+  List.iter (Bitset.add s) [ 1; 2; 62; 70; 71; 199 ];
+  let seen = ref [] in
+  Bitset.iter
+    (fun i ->
+      seen := i :: !seen;
+      if i = 1 then begin
+        Bitset.remove s 2;
+        Bitset.remove s 62;
+        Bitset.remove s 71;
+        Bitset.add s 130
+      end)
+    s;
+  Alcotest.(check (list int)) "word snapshots" [ 1; 2; 62; 70; 130; 199 ] (List.rev !seen);
+  Alcotest.(check (list int)) "set after" [ 1; 70; 130; 199 ] (Bitset.to_list s)
+
 (* --- Pqueue ----------------------------------------------------------- *)
 
 let test_pqueue_order () =
@@ -481,6 +530,15 @@ let qcheck_cases =
   [
     QCheck.Test.make ~count:100 ~name:"bitset model" QCheck.small_int (fun s ->
         prop_bitset_model (s + 1));
+    QCheck.Test.make ~count:500 ~name:"cardinal = kernighan popcount"
+      QCheck.(
+        list_of_size
+          Gen.(1 -- 8)
+          (oneof [ int; int_range (-1) 1; map (fun b -> 1 lsl b) (int_range 0 62) ]))
+      prop_cardinal_is_popcount;
+    QCheck.Test.make ~count:300 ~name:"iter = filter mem"
+      QCheck.(pair (int_range 1 300) (small_list small_nat))
+      prop_iter_is_filter_mem;
     QCheck.Test.make ~count:100 ~name:"pqueue sorts" QCheck.small_int (fun s ->
         prop_pqueue_sorts (s + 1));
     QCheck.Test.make ~count:50 ~name:"csr roundtrip" QCheck.small_int (fun s ->
@@ -512,6 +570,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_bitset_basics;
           Alcotest.test_case "set ops" `Quick test_bitset_setops;
+          Alcotest.test_case "iter under mutation" `Quick test_bitset_iter_mutation;
         ] );
       ("pqueue", [ Alcotest.test_case "ordering" `Quick test_pqueue_order ]);
       ( "attrs",

@@ -314,7 +314,10 @@ let test_concurrent_readers_during_updates () =
   (* Engine-level interleaving: readers evaluate through the engine (cache,
      recorder, windows — all shared state) while updates apply.  The
      assertion is absence of crashes plus every answer digest belonging
-     to some published epoch's answer set. *)
+     to some published epoch's answer set.  Each answer's memoised
+     digest is forced too: it must equal its own relation's digest, so a
+     memo keyed to an epoch other than the one the answer pinned shows
+     up here. *)
   let rng = Prng.create 23 in
   let g = Collab.graph () in
   let engine = Engine.create g in
@@ -339,19 +342,23 @@ let test_concurrent_readers_during_updates () =
     batches;
   let reader =
     Domain.spawn (fun () ->
-        let bad = ref 0 in
+        let bad = ref 0 and bad_memo = ref 0 in
         for _ = 1 to 120 do
           let answer = Engine.evaluate engine q in
-          if not (Hashtbl.mem valid (Match_relation.digest answer.relation)) then incr bad
+          let d = Match_relation.digest answer.relation in
+          if not (Hashtbl.mem valid d) then incr bad;
+          let memo = Lazy.force answer.digest in
+          if memo <> d || not (Hashtbl.mem valid memo) then incr bad_memo
         done;
-        !bad)
+        (!bad, !bad_memo))
   in
   List.iter
     (fun batch ->
       ignore (Engine.apply_updates engine batch : Incremental.report list))
     batches;
-  let bad = Domain.join reader in
-  Alcotest.(check int) "every answer matched some published epoch" 0 bad
+  let bad, bad_memo = Domain.join reader in
+  Alcotest.(check int) "every answer matched some published epoch" 0 bad;
+  Alcotest.(check int) "every memoised digest is its answer's" 0 bad_memo
 
 (* --- per-domain trace roots -------------------------------------------- *)
 

@@ -101,6 +101,56 @@ let test_cache_invalidation () =
   Alcotest.(check int) "cleared" 0 (Cache.length cache);
   Alcotest.(check (pair int int)) "stats reset" (0, 0) (Cache.hits cache, Cache.misses cache)
 
+(* The digest memo: computed once per entry, then read back; dropped
+   with its entry by eviction, [clear], [invalidate_snapshot] and a
+   re-store; never trusted for a relation that differs from the entry. *)
+let test_cache_digest_memo () =
+  let cache = Cache.create ~capacity:2 () in
+  let q1 = Collab.query () and q2 = Collab.q1 () and q3 = Collab.q2 () in
+  let sid0, sid1 = sid_pair () in
+  let r = sample_relation () in
+  let want = Match_relation.digest r in
+  let digest q sid r = Cache.digest cache q ~snapshot:sid r in
+  (* No entry: computed, nothing to memoise. *)
+  Alcotest.(check string) "absent entry" want (digest q1 sid0 r);
+  Alcotest.(check string) "absent entry again" want (digest q1 sid0 r);
+  Alcotest.(check int) "absent entries hash every time" 2 (Cache.digests cache);
+  Cache.store cache q1 ~snapshot:sid0 r;
+  Alcotest.(check string) "first" want (digest q1 sid0 r);
+  Alcotest.(check int) "computed once" 3 (Cache.digests cache);
+  (match Cache.find cache q1 ~snapshot:sid0 with
+  | Some hit -> Alcotest.(check string) "hit copy reads the memo" want (digest q1 sid0 hit)
+  | None -> Alcotest.fail "expected hit");
+  Alcotest.(check int) "memo read" 3 (Cache.digests cache);
+  (* Another epoch's key is another entry (or none): no memo. *)
+  ignore (digest q1 sid1 r : string);
+  Alcotest.(check int) "other epoch computed" 4 (Cache.digests cache);
+  (* A relation the entry does not hold is hashed as given. *)
+  let other = Match_relation.of_pairs ~pattern_size:2 ~graph_size:9 [ (0, 1) ] in
+  Alcotest.(check string) "mismatched relation" (Match_relation.digest other)
+    (digest q1 sid0 other);
+  Alcotest.(check string) "memo intact" want (digest q1 sid0 r);
+  Alcotest.(check int) "mismatch computed, memo read" 5 (Cache.digests cache);
+  (* After each way of dropping the entry, the key is re-stored with a
+     different relation: a surviving memo would report the old digest. *)
+  let r' = Match_relation.of_pairs ~pattern_size:2 ~graph_size:9 [ (0, 1); (1, 5) ] in
+  let dropped label f =
+    Cache.store cache q1 ~snapshot:sid0 r;
+    Alcotest.(check string) (label ^ ": memo") want (digest q1 sid0 r);
+    let before = Cache.digests cache in
+    f ();
+    Cache.store cache q1 ~snapshot:sid0 r';
+    Alcotest.(check string) label (Match_relation.digest r') (digest q1 sid0 r');
+    Alcotest.(check int) (label ^ " recomputes") (before + 1) (Cache.digests cache)
+  in
+  dropped "re-store" (fun () -> ());
+  dropped "clear" (fun () -> Cache.clear cache);
+  dropped "invalidate_snapshot" (fun () -> Cache.invalidate_snapshot cache sid0);
+  dropped "lru eviction" (fun () ->
+      Cache.store cache q2 ~snapshot:sid0 r;
+      Cache.store cache q3 ~snapshot:sid0 r;
+      Alcotest.(check bool) "q1 evicted" true (Cache.find cache q1 ~snapshot:sid0 = None))
+
 (* --- Graph store ------------------------------------------------------- *)
 
 let with_store f =
@@ -169,6 +219,7 @@ let () =
           Alcotest.test_case "defensive copies" `Quick test_cache_is_defensive;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "invalidation" `Quick test_cache_invalidation;
+          Alcotest.test_case "digest memo" `Quick test_cache_digest_memo;
         ] );
       ( "store",
         [
