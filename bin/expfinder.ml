@@ -587,12 +587,10 @@ let serve_run verbose graph_file socket_spec max_connections =
         the write errors are handled per-connection instead. *)
      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
      (* Long-horizon telemetry: GC pause attribution via the runtime's
-        own event ring (opt out with EXPFINDER_GC_EVENTS=0) and
-        statistical allocation attribution when EXPFINDER_MEMPROF_RATE
-        is set.  Both stay inert for every other subcommand. *)
+        own event ring (opt out with EXPFINDER_GC_EVENTS=0); inert for
+        every other subcommand. *)
      if Sys.getenv_opt "EXPFINDER_GC_EVENTS" <> Some "0" then
        ignore (Telemetry.Gcpause.start () : bool);
-     ignore (Telemetry.Alloc.start_from_env () : bool);
      let sample_period =
        match Option.bind (Sys.getenv_opt "EXPFINDER_SAMPLE_PERIOD_S") float_of_string_opt with
        | Some p -> p
@@ -857,18 +855,17 @@ let trace_explorer verbose socket_spec action id =
        else begin
          Printf.printf "%-32s %-6s %-8s %10s  %s\n" "TRACE" "OP" "KEPT" "MS" "QUERY";
          List.iter
-           (fun (s : Telemetry.Tracestore.stored) ->
-             Printf.printf "%-32s %-6s %-8s %10.3f  %s%s\n" s.Telemetry.Tracestore.strace_id
-               s.Telemetry.Tracestore.sop s.Telemetry.Tracestore.skept
-               s.Telemetry.Tracestore.sduration_ms s.Telemetry.Tracestore.squery
-               (if s.Telemetry.Tracestore.serror then "  [error]" else ""))
+           (fun { Telemetry.Tracestore.req = r; kept; _ } ->
+             Printf.printf "%-32s %-6s %-8s %10.3f  %s%s\n" r.trace.trace_id
+               (Telemetry.Request.op_name r.op) kept r.duration_ms r.query
+               (if r.error <> None then "  [error]" else ""))
            traces
        end;
        Ok ()
      | "show" ->
        let* id = match id with Some i -> Ok i | None -> err "trace show: missing trace ID" in
        let matches (s : Telemetry.Tracestore.stored) =
-         let tid = s.Telemetry.Tracestore.strace_id in
+         let tid = s.Telemetry.Tracestore.req.trace.trace_id in
          String.length id <= String.length tid && String.sub tid 0 (String.length id) = id
        in
        (match List.filter matches traces with
@@ -1295,8 +1292,7 @@ let serve_cmd =
            `P
              "Set $(b,EXPFINDER_QLOG) to capture every served request in the structured query \
               log, ready for $(b,expfinder replay); $(b,EXPFINDER_TIMESERIES) to persist one \
-              JSONL telemetry tick per sampler period; $(b,EXPFINDER_MEMPROF_RATE) to enable \
-              statistical allocation attribution; $(b,EXPFINDER_POSTMORTEM_DIR) to write a \
+              JSONL telemetry tick per sampler period; $(b,EXPFINDER_POSTMORTEM_DIR) to write a \
               crash artifact on fatal signals and uncaught exceptions.  SLO objectives tune \
               via EXPFINDER_SLO_* (see $(b,expfinder top)).";
          ])

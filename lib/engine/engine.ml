@@ -49,15 +49,6 @@ let m_batch_queries = Metrics.counter "engine.batch_queries"
 
 let h_query_ms = Metrics.histogram "engine.query_ms"
 
-(* Serving-path SLO windows: always-on per-second rings feeding the
-   /metrics and /stats.json surfaces (QPS, error rate, latency
-   percentiles over the last minute), one per operation class. *)
-let w_query = Window.get "query"
-
-let w_batch = Window.get "batch"
-
-let w_update = Window.get "update"
-
 let provenance_counter = function
   | From_cache -> m_from_cache
   | From_compressed -> m_from_compressed
@@ -364,134 +355,144 @@ let differential_check pattern relation provenance ~snap ~via_direct =
       raise e
   end
 
-(* Profile plumbing shared by [evaluate] and [top_k]: snapshot the
-   counter registry, run the traced body under the request's context,
-   and turn the root span (when this call owns the trace) plus the
-   counter deltas into a profile. *)
-let profiled ?(trace = Trace.ambient) t ~root ~attrs ~query f =
-  let before = if enabled () then Metrics.counters_snapshot () else [] in
-  let (result, provenance), span = Trace.collect trace ~attrs root f in
-  let profile =
-    match span with
-    | None -> None
-    | Some span ->
+(* ------------------------------------------------------------------ *)
+(* The request bracket                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [f] under a root span for [trace], with the clock and one
+   counter snapshot taken at entry and the duration and counter delta
+   at exit, whichever way [f] leaves (an exception comes back with its
+   backtrace).  These are the engine's only registry snapshots: every
+   sink and every profile reads this one delta. *)
+let measured ~trace ~attrs name f =
+  let before = Metrics.counters_snapshot () in
+  let start = now_us () in
+  let outcome =
+    match Trace.collect trace ~attrs name f with
+    | v, root -> Ok (v, root)
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let duration_ms = (now_us () -. start) /. 1000.0 in
+  (outcome, duration_ms, Metrics.delta ~before ~after:(Metrics.counters_snapshot ()))
+
+(* A profile from a root span this call owned (none when the call was
+   nested under another trace or not recorded), published as the
+   engine's [last_profile]. *)
+let profile_of t ~query ~provenance ~trace_id ~counters root =
+  Option.map
+    (fun span ->
       Histogram.observe h_query_ms (Span.duration_ms span);
-      let counters = Metrics.delta ~before ~after:(Metrics.counters_snapshot ()) in
-      let p = { query; provenance; span; counters; trace_id = trace.Trace.trace_id } in
+      let p = { query; provenance; span; counters; trace_id } in
       Atomic.set t.last_profile (Some p);
-      Some p
+      p)
+    root
+
+(* The three request classes: the op, its serving-path SLO window
+   (always-on per-second rings feeding the /metrics and /stats.json
+   surfaces: QPS, error rate, latency percentiles over the last
+   minute), its root span and the strategy recorded when it raises. *)
+type op_class = { op : Request.op; window : Window.t; root_name : string; failed : string }
+
+let c_query =
+  { op = Request.Query; window = Window.get "query"; root_name = "evaluate"; failed = "error" }
+
+let c_batch =
+  {
+    op = Request.Batch;
+    window = Window.get "batch";
+    root_name = "evaluate_batch";
+    failed = "batch/error";
+  }
+
+let c_update =
+  {
+    op = Request.Update;
+    window = Window.get "update";
+    root_name = "apply_updates";
+    failed = "update/error";
+  }
+
+(* Run one query, batch or update batch: [f] returns its value, its
+   strategy and the snapshot its answer is keyed to.  Whichever way it
+   leaves, one request record is built and handed to every sink — the
+   flight recorder, the trace store (head + tail sampling), the
+   continuous profile, the op window (advertising the trace id as the
+   latency bucket's exemplar only when the store admitted it: an
+   exemplar must resolve to a stored trace) and the query log.  The
+   log's extras — the replayable [payload] and the answer size and
+   digest from [logged] — are only materialised when a sink is
+   configured, so the unlogged path pays nothing for them. *)
+let serve t cls ~trace ~query ~attrs ~payload ~logged f =
+  let outcome, duration_ms, counters = measured ~trace ~attrs cls.root_name f in
+  let finish ~strategy ?error ?root ~snap answer_fields =
+    let req =
+      Request.make ~op:cls.op ~query ~strategy ~trace ~duration_ms ~counters ?error ?root ()
+    in
+    Recorder.record req;
+    let kept = Tracestore.record ~window:cls.window req in
+    Option.iter Profile.record root;
+    Window.observe cls.window ~error:(error <> None)
+      ?trace:(if kept then Some trace.Trace.trace_id else None)
+      duration_ms;
+    if Qlog.enabled () then begin
+      let pairs, digest = answer_fields () in
+      Qlog.emit ~graph_id:(Snapshot.graph_id snap) ~epoch:(Snapshot.epoch snap) ~pairs ~digest
+        ~payload:(payload ()) req
+    end;
+    req
   in
-  (result, profile)
-
-(* Query-log plumbing.  The digest and the replayable payload are only
-   materialised when a sink is configured, so the unlogged serving path
-   pays nothing beyond the [Qlog.enabled] check. *)
-let qlog_emit t ?snap ~kind ~query ~strategy ~duration_ms ~counters ~pairs ~digest
-    ?(trace_id = "") ?error ?payload () =
-  if Qlog.enabled () then begin
-    let snap = match snap with Some s -> s | None -> Atomic.get t.snap in
-    Qlog.emit ~kind ~graph_id:(Snapshot.graph_id snap) ~epoch:(Snapshot.epoch snap)
-      ~query ~strategy ~duration_ms ~counters ~pairs ~digest ~trace_id ?error ?payload ()
-  end
-
-(* Finished-request bookkeeping shared by the three op classes: offer
-   the request to the trace store (head + tail sampling) and record the
-   op window observation, advertising the trace id as that latency
-   bucket's exemplar only when the store admitted it — an exemplar must
-   resolve to a stored trace. *)
-let observe_traced ~trace ~window ~op ~query ~duration_ms ~error ?root () =
-  let kept =
-    Tracestore.record ~trace_id:trace.Trace.trace_id ~span_id:trace.Trace.span_id ~op ~query
-      ~duration_ms ~error ?root ()
-  in
-  (* Every completed span tree also feeds the continuous folded-stack
-     profile — the single fold point for the query/batch/update ops. *)
-  Option.iter Profile.record root;
-  Window.observe window ~error
-    ?trace:(if kept then Some trace.Trace.trace_id else None)
-    duration_ms
-
-let pattern_payload pattern =
-  if Qlog.enabled () then Some (Json.Str (Pattern_io.to_string pattern)) else None
-
-let batch_payload patterns =
-  if Qlog.enabled () then
-    Some (Json.Arr (List.map (fun q -> Json.Str (Pattern_io.to_string q)) patterns))
-  else None
-
-let update_payload updates =
-  if Qlog.enabled () then Some (Json.Arr (List.map Update.to_json updates)) else None
-
-(* The logged digests force the answers' own lazy digests, so a logged
-   served request hashes each relation at most once. *)
-let answer_digest (a : answer) = if Qlog.enabled () then Lazy.force a.digest else ""
+  match outcome with
+  | Ok ((v, strategy, snap), root) -> (v, finish ~strategy ?root ~snap (fun () -> logged v))
+  | Error (e, bt) ->
+    ignore
+      (finish ~strategy:cls.failed ~error:(Printexc.to_string e) ~snap:(Atomic.get t.snap)
+         (fun () -> (0, ""))
+        : Request.t);
+    Printexc.raise_with_backtrace e bt
 
 (* The combined answer digest of a batch: MD5 over the per-answer
    digests in input order — replay recomputes the same fold, so one
-   field verifies the whole batch. *)
+   field verifies the whole batch.  The logged digests force the
+   answers' own lazy digests, so a logged served request hashes each
+   relation at most once. *)
 let batch_digest answers =
-  if Qlog.enabled () then
-    Digest.to_hex
-      (Digest.string (String.concat "" (List.map (fun a -> Lazy.force a.digest) answers)))
-  else ""
+  Digest.to_hex (Digest.string (String.concat "" (List.map (fun a -> Lazy.force a.digest) answers)))
 
 (* An answer's digest, memoised on the cache entry stored under the
    pattern and the snapshot the answer was computed on. *)
-let answer_of t pattern ~snap relation provenance profile =
+let answer_of t pattern ~snap relation provenance =
   {
     relation;
     total = Match_relation.is_total relation;
     provenance;
-    profile;
+    profile = None;
     digest = lazy (Cache.digest t.cache pattern ~snapshot:(Snapshot.id snap) relation);
   }
 
-let evaluate_unlabelled ?(trace = Trace.ambient) t pattern =
-  (* Flight recorder bookkeeping is always on (unlike profiles): snapshot
-     the counter registry and the clock around the whole query. *)
-  let rec_before = Metrics.counters_snapshot () in
-  let rec_start = now_us () in
-  Counter.incr m_queries;
+let evaluate ?(trace = Trace.ambient) t pattern =
   let fp = Pattern.fingerprint pattern in
-  let trace_id = trace.Trace.trace_id in
-  match
-    profiled ~trace t ~root:"evaluate" ~attrs:[ ("query", fp) ] ~query:fp (fun () ->
+  let answer, req =
+    serve t c_query ~trace ~query:fp ~attrs:[ ("query", fp) ]
+      ~payload:(fun () -> Json.Str (Pattern_io.to_string pattern))
+      ~logged:(fun a -> (Match_relation.total a.relation, Lazy.force a.digest))
+      (fun () ->
+        Counter.incr m_queries;
         let snap, relation, provenance, strategy, via_direct = evaluate_inner t pattern in
         differential_check pattern relation provenance ~snap ~via_direct;
         Counter.incr (provenance_counter provenance);
         annotate "provenance" (provenance_name provenance);
         annotate_int "pairs" (Match_relation.total relation);
-        ((snap, relation, provenance, strategy), provenance))
-  with
-  | exception e ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    Recorder.record ~trace_id ~query:fp ~strategy:"error" ~duration_ms ~counters ();
-    observe_traced ~trace ~window:w_query ~op:"query" ~query:fp ~duration_ms ~error:true ();
-    qlog_emit t ~kind:Qlog.Query ~query:fp ~strategy:"error" ~duration_ms ~counters ~pairs:0
-      ~digest:"" ~trace_id ~error:(Printexc.to_string e) ?payload:(pattern_payload pattern) ();
-    raise e
-  | (snap, relation, provenance, strategy), profile ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    Recorder.record ~trace_id ~query:fp ~strategy ~duration_ms ~counters ();
-    observe_traced ~trace ~window:w_query ~op:"query" ~query:fp ~duration_ms ~error:false
-      ?root:(Option.map (fun p -> p.span) profile)
-      ();
-    let answer = answer_of t pattern ~snap relation provenance profile in
-    qlog_emit t ~snap ~kind:Qlog.Query ~query:fp ~strategy ~duration_ms ~counters
-      ~pairs:(Match_relation.total relation)
-      ~digest:(answer_digest answer)
-      ~trace_id ?payload:(pattern_payload pattern) ();
-    Log.debug (fun m ->
-        m "evaluate %s: %d pairs via %s" fp (Match_relation.total relation)
-          (provenance_name provenance));
-    answer
-
-(* Allocation attribution: while the memprof sampler is active, bytes
-   allocated under each op class are charged to its label. *)
-let evaluate ?trace t pattern =
-  Alloc.with_label "query" (fun () -> evaluate_unlabelled ?trace t pattern)
+        (answer_of t pattern ~snap relation provenance, strategy, snap))
+  in
+  Log.debug (fun m ->
+      m "evaluate %s: %d pairs via %s" fp (Match_relation.total answer.relation)
+        (provenance_name answer.provenance));
+  {
+    answer with
+    profile =
+      profile_of t ~query:fp ~provenance:answer.provenance ~trace_id:trace.Trace.trace_id
+        ~counters:req.counters req.root;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Batched evaluation                                                   *)
@@ -517,27 +518,29 @@ let evaluate ?trace t pattern =
    scan and each query's refinement across domains; every parallel
    region merges deterministically, so answers (and counter totals) are
    digest-equal to [~domains:1]. *)
-let evaluate_batch_unlabelled ?(trace = Trace.ambient)
-    ?(domains = Parallel.default_domains ()) t patterns =
-  Counter.incr m_batches;
-  let rec_before = Metrics.counters_snapshot () in
-  let rec_start = now_us () in
-  let snap = snapshot t in
-  let sid = Snapshot.id snap in
+let evaluate_batch ?(trace = Trace.ambient) ?(domains = Parallel.default_domains ()) t
+    patterns =
   let arr = Array.of_list patterns in
   let n = Array.length arr in
-  Counter.add m_batch_queries n;
   let label = Printf.sprintf "batch:%d" n in
-  let results : (Match_relation.t * provenance) option array = Array.make n None in
-  let empty_for pattern =
-    Match_relation.create ~pattern_size:(Pattern.size pattern)
-      ~graph_size:(Snapshot.node_count snap)
-  in
-  let run_batch () =
-    profiled ~trace t ~root:"evaluate_batch"
+  let answers, req =
+    serve t c_batch ~trace ~query:label
       ~attrs:[ ("queries", string_of_int n) ]
-      ~query:label
+      ~payload:(fun () ->
+        Json.Arr (List.map (fun q -> Json.Str (Pattern_io.to_string q)) patterns))
+      ~logged:(fun answers ->
+        ( List.fold_left (fun acc a -> acc + Match_relation.total a.relation) 0 answers,
+          batch_digest answers ))
       (fun () ->
+        Counter.incr m_batches;
+        Counter.add m_batch_queries n;
+        let snap = snapshot t in
+        let sid = Snapshot.id snap in
+        let results : (Match_relation.t * provenance) option array = Array.make n None in
+        let empty_for pattern =
+          Match_relation.create ~pattern_size:(Pattern.size pattern)
+            ~graph_size:(Snapshot.node_count snap)
+        in
         (* 1. Exact cache hits. *)
         let hits = ref 0 in
         with_span "batch_cache" (fun () ->
@@ -637,48 +640,24 @@ let evaluate_batch_unlabelled ?(trace = Trace.ambient)
               | None -> assert false
             end)
           arr;
-        ((), Direct))
+        Log.debug (fun m -> m "evaluate_batch: %d queries on %a" n Snapshot.pp_id snap);
+        (* Per-answer profiles are not split out of the shared batch run;
+           the whole-batch profile is available via [last_profile]. *)
+        let answers =
+          List.mapi
+            (fun i pattern ->
+              match results.(i) with
+              | Some (relation, provenance) -> answer_of t pattern ~snap relation provenance
+              | None -> assert false)
+            patterns
+        in
+        (answers, "batch", snap))
   in
-  match run_batch () with
-  | exception e ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    Recorder.record ~trace_id:trace.Trace.trace_id ~query:label ~strategy:"batch/error"
-      ~duration_ms ~counters ();
-    observe_traced ~trace ~window:w_batch ~op:"batch" ~query:label ~duration_ms ~error:true ();
-    qlog_emit t ~kind:Qlog.Batch ~query:label ~strategy:"batch/error" ~duration_ms ~counters
-      ~pairs:0 ~digest:"" ~trace_id:trace.Trace.trace_id ~error:(Printexc.to_string e)
-      ?payload:(batch_payload patterns) ();
-    raise e
-  | (), batch_profile ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    Recorder.record ~trace_id:trace.Trace.trace_id ~query:label ~strategy:"batch" ~duration_ms
-      ~counters ();
-    observe_traced ~trace ~window:w_batch ~op:"batch" ~query:label ~duration_ms ~error:false
-      ?root:(Option.map (fun p -> p.span) batch_profile)
-      ();
-    let answers =
-      List.mapi
-        (fun i pattern ->
-          match results.(i) with
-          | Some (relation, provenance) ->
-            (* Per-answer profiles are not split out of the shared batch run;
-               the whole-batch profile is available via [last_profile]. *)
-            answer_of t pattern ~snap relation provenance None
-          | None -> assert false)
-        patterns
-    in
-    qlog_emit t ~snap ~kind:Qlog.Batch ~query:label ~strategy:"batch" ~duration_ms ~counters
-      ~pairs:(List.fold_left (fun acc a -> acc + Match_relation.total a.relation) 0 answers)
-      ~digest:(batch_digest answers) ~trace_id:trace.Trace.trace_id
-      ?payload:(batch_payload patterns) ();
-    Log.debug (fun m -> m "evaluate_batch: %d queries on %a" n Snapshot.pp_id snap);
-    answers
-
-let evaluate_batch ?trace ?domains t patterns =
-  Alloc.with_label "batch" (fun () ->
-      evaluate_batch_unlabelled ?trace ?domains t patterns)
+  ignore
+    (profile_of t ~query:label ~provenance:Direct ~trace_id:trace.Trace.trace_id
+       ~counters:req.counters req.root
+      : profile option);
+  answers
 
 let result_graph t pattern =
   let answer = evaluate t pattern in
@@ -693,35 +672,38 @@ let result_graph t pattern =
 let top_k t pattern ~k =
   Counter.incr m_topk;
   let fp = Pattern.fingerprint pattern in
-  fst
-  @@ profiled t ~root:"topk"
-    ~attrs:[ ("query", fp); ("k", string_of_int k) ]
-    ~query:fp
-    (fun () ->
-      let answer = evaluate t pattern in
-      if not answer.total then ([], answer.provenance)
-      else begin
-        let snap = snapshot t in
-        let gr =
-          with_span "result_graph" (fun () ->
-              Result_graph.build pattern snap answer.relation)
-        in
-        let output_matches = Match_relation.matches answer.relation (Pattern.output pattern) in
-        let experts =
-          with_span "rank"
-            ~attrs:[ ("output_matches", string_of_int (List.length output_matches)) ]
-            (fun () ->
-              Ranking.top_k gr ~output_matches ~k
-              |> List.map (fun (node, rank) ->
-                     let name =
-                       match Attrs.find (Snapshot.attrs snap node) "name" with
-                       | Some (Attr.String s) -> Some s
-                       | Some _ | None -> None
-                     in
-                     { node; name; rank }))
-        in
-        (experts, answer.provenance)
-      end)
+  match
+    measured ~trace:Trace.ambient ~attrs:[ ("query", fp); ("k", string_of_int k) ] "topk"
+      (fun () ->
+        let answer = evaluate t pattern in
+        if not answer.total then ([], answer.provenance)
+        else begin
+          let snap = snapshot t in
+          let gr =
+            with_span "result_graph" (fun () ->
+                Result_graph.build pattern snap answer.relation)
+          in
+          let output_matches = Match_relation.matches answer.relation (Pattern.output pattern) in
+          let experts =
+            with_span "rank"
+              ~attrs:[ ("output_matches", string_of_int (List.length output_matches)) ]
+              (fun () ->
+                Ranking.top_k gr ~output_matches ~k
+                |> List.map (fun (node, rank) ->
+                       let name =
+                         match Attrs.find (Snapshot.attrs snap node) "name" with
+                         | Some (Attr.String s) -> Some s
+                         | Some _ | None -> None
+                       in
+                       { node; name; rank }))
+          in
+          (experts, answer.provenance)
+        end)
+  with
+  | Error (e, bt), _, _ -> Printexc.raise_with_backtrace e bt
+  | Ok ((experts, provenance), root), _, counters ->
+    ignore (profile_of t ~query:fp ~provenance ~trace_id:"" ~counters root : profile option);
+    experts
 
 let last_profile t = Atomic.get t.last_profile
 
@@ -852,50 +834,24 @@ let apply_updates_locked t updates =
             (List.length effective) Snapshot.pp_id published (List.length t.registered)
             (if t.compressed = None then "off" else "maintained"));
       ( List.map (fun (_, inc) -> Incremental.sync_applied inc ~effective) t.registered,
-        List.length effective ))
+        List.length effective,
+        published ))
 
-let apply_updates_inner t updates =
-  Mutex.lock t.writer;
-  match apply_updates_locked t updates with
-  | r ->
-    Mutex.unlock t.writer;
-    r
-  | exception e ->
-    Mutex.unlock t.writer;
-    raise e
-
-let apply_updates_unlabelled ?(trace = Trace.ambient) t updates =
-  let rec_before = Metrics.counters_snapshot () in
-  let rec_start = now_us () in
-  (* The replayable payload is the *input* batch: no-ops are dropped at
-     apply time, so replay reproduces the same filtering. *)
-  let payload = update_payload updates in
-  match
-    Trace.collect trace
+(* The qlog payload is the *input* batch: no-ops are dropped at apply
+   time, so replay reproduces the same filtering. *)
+let apply_updates ?(trace = Trace.ambient) t updates =
+  let (reports, _), _ =
+    serve t c_update ~trace ~query:"update"
       ~attrs:[ ("updates", string_of_int (List.length updates)) ]
-      "apply_updates"
-      (fun () -> apply_updates_inner t updates)
-  with
-  | exception e ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    observe_traced ~trace ~window:w_update ~op:"update" ~query:"update" ~duration_ms
-      ~error:true ();
-    qlog_emit t ~kind:Qlog.Update ~query:"update" ~strategy:"update/error" ~duration_ms
-      ~counters ~pairs:0 ~digest:"" ~trace_id:trace.Trace.trace_id
-      ~error:(Printexc.to_string e) ?payload ();
-    raise e
-  | (reports, effective_n), root ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    observe_traced ~trace ~window:w_update ~op:"update" ~query:"update" ~duration_ms
-      ~error:false ?root ();
-    qlog_emit t ~kind:Qlog.Update ~query:"update" ~strategy:"update" ~duration_ms ~counters
-      ~pairs:effective_n ~digest:"" ~trace_id:trace.Trace.trace_id ?payload ();
-    reports
-
-let apply_updates ?trace t updates =
-  Alloc.with_label "update" (fun () -> apply_updates_unlabelled ?trace t updates)
+      ~payload:(fun () -> Json.Arr (List.map Update.to_json updates))
+      ~logged:(fun (_, effective) -> (effective, ""))
+      (fun () ->
+        let reports, effective, published =
+          Mutex.protect t.writer (fun () -> apply_updates_locked t updates)
+        in
+        ((reports, effective), "update", published))
+  in
+  reports
 
 let cache_stats t = (Cache.hits t.cache, Cache.misses t.cache)
 

@@ -33,14 +33,17 @@ open Expfinder_telemetry
     {!Expfinder_core.Verify} checker; a divergence raises [Failure].
 
     Serving-path observability: every {!evaluate}, {!evaluate_batch}
-    and {!apply_updates} call feeds the always-on flight recorder and
-    the per-operation-class sliding windows
+    and {!apply_updates} call, whether it returns or raises, builds one
+    {!Expfinder_telemetry.Request.t} (duration and counter deltas from
+    one registry snapshot at entry and one at exit) and hands it to
+    every sink: the always-on flight recorder, the trace store, the
+    continuous profile, the per-operation-class sliding windows
     ({!Expfinder_telemetry.Window} classes [query]/[batch]/[update],
     with errors flagged), and — when a query-log sink is configured
-    ({!Expfinder_telemetry.Qlog}, [EXPFINDER_QLOG]) — appends one
-    schema-versioned JSONL event carrying the snapshot identity,
-    strategy, duration, counter deltas, answer size and digest, and a
-    replayable payload consumed by [expfinder replay]. *)
+    ({!Expfinder_telemetry.Qlog}, [EXPFINDER_QLOG]) — one
+    schema-versioned JSONL event that adds the snapshot identity,
+    answer size and digest, and a replayable payload consumed by
+    [expfinder replay]. *)
 
 type t
 
@@ -48,16 +51,19 @@ type t
 type provenance = From_cache | From_compressed | From_index | Direct
 
 (** Per-query profile, populated when telemetry is enabled
-    ({!Expfinder_telemetry.set_enabled}): the stage tree (plan →
-    candidates → refine → rank for direct evaluation), the provenance,
-    and the per-query deltas of every registered counter (candidate
-    sizes, worklist pops, ball expansions, cache hits, compression
-    expand cost, ...). *)
+    ({!Expfinder_telemetry.set_enabled}) or the request's trace context
+    is sampled: the stage tree (plan → candidates → refine → rank for
+    direct evaluation), the provenance, and the request's deltas of
+    every registered counter and gauge (candidate sizes, worklist pops,
+    ball expansions, cache hits, compression expand cost, ..., and the
+    op's own [engine.queries] / [engine.batches] tick). *)
 type profile = {
   query : string;  (** the pattern fingerprint *)
   provenance : provenance;
   span : Span.t;  (** the stage tree; export with {!Span.to_chrome_json} *)
-  counters : (string * int) list;  (** nonzero per-query counter deltas *)
+  counters : (string * int) list;
+      (** nonzero per-request counter deltas — the same list the
+          request's flight-recorder and query-log events carry *)
   trace_id : string;
       (** the request's trace id ([""] when it ran under the ambient
           context) *)
@@ -187,9 +193,10 @@ val apply_updates : ?trace:Trace.ctx -> t -> Update.t list -> Incremental.report
     ([engine.snapshot_rebuilds]). *)
 
 val last_profile : t -> profile option
-(** The profile of the most recent traced query ({!evaluate} or
-    {!top_k}), when telemetry is enabled.  The CLI's [--profile] and
-    [--trace] read it after the query returns. *)
+(** The profile of the most recent traced {!evaluate},
+    {!evaluate_batch} or {!top_k}, when telemetry is enabled or the
+    request was sampled.  The CLI's [--profile] and [--trace] read it
+    after the query returns. *)
 
 val pp_profile : Format.formatter -> profile -> unit
 (** Stage tree plus per-query counters, human-readable. *)

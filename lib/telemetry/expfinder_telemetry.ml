@@ -774,11 +774,54 @@ module Span = struct
     Buffer.contents buf
 end
 
+(* The open-span chain of the *current domain's* in-flight
+   [Trace.collect].  [Domain.DLS] rather than a global ref: the chain
+   is request-local by construction (one request per domain at a
+   time), so confining it to the domain removes the cross-thread hazard
+   outright — the allowlist entry records the confinement, not a
+   risk. *)
+let open_spans : Span.t list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+
+let spans () = Domain.DLS.get open_spans
+
+let set_spans l = Domain.DLS.set open_spans l
+
+let close_span (s : Span.t) = s.Span.dur_us <- now_us () -. s.Span.sstart
+
+(* Child spans attach under the innermost open span; with no open root
+   (this request is not being recorded) the body runs bare. *)
+let with_span ?attrs name f =
+  match spans () with
+  | [] -> f ()
+  | parent :: _ ->
+    let s = Span.make ?attrs name in
+    set_spans (s :: spans ());
+    let finish () =
+      close_span s;
+      (match spans () with
+      | top :: rest when top == s -> set_spans rest
+      | _ -> ());
+      parent.Span.rev_kids <- s :: parent.Span.rev_kids
+    in
+    (match f () with
+    | v ->
+      finish ();
+      v
+    | exception e ->
+      finish ();
+      raise e)
+
+let annotate k v =
+  match spans () with
+  | [] -> ()
+  | s :: _ -> s.Span.rev_attrs <- (k, v) :: s.Span.rev_attrs
+
+let annotate_int k v = if spans () <> [] then annotate k (string_of_int v)
+
 (* The tracer.  Request identity is an explicit, immutable context —
    128-bit trace id plus 64-bit root-span id, minted per request (or
-   adopted from the wire) — and the chain of open spans under the
-   active [collect] is domain-local state, not a process-global: two
-   domains (the future multicore serving path) each trace their own
+   adopted from the wire) — and the spans recorded under it hang off
+   the domain-local chain above, so two domains each trace their own
    request without ever observing the other's stack. *)
 module Trace = struct
   type ctx = {
@@ -812,10 +855,9 @@ module Trace = struct
 
   let valid_span_id s = String.length s = 16 && is_hex s && not (all_zero s)
 
-  (* The default root context: identity-free, never sampled.  The
-     legacy ambient API is a shim over this, so pre-context call sites
-     behave exactly as before — spans record only while a [collect] is
-     active and the global flag is on, and nothing carries an id. *)
+  (* The default root context: identity-free, never sampled — spans
+     record only while the global flag is on, and nothing carries an
+     id. *)
   let ambient = { trace_id = ""; span_id = ""; sampled = false }
 
   let make ?(sampled = false) ?trace_id () =
@@ -850,49 +892,6 @@ module Trace = struct
       adopt tid
     | _ -> None
 
-  (* The open-span chain of the *current domain's* in-flight [collect].
-     [Domain.DLS] rather than a global ref: the chain is request-local
-     by construction (one request per domain at a time), so confining
-     it to the domain removes the cross-thread hazard outright — the
-     remaining allowlist entry records the confinement, not a risk. *)
-  let open_spans : Span.t list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
-
-  let spans () = Domain.DLS.get open_spans
-
-  let set_spans l = Domain.DLS.set open_spans l
-
-  let close (s : Span.t) = s.Span.dur_us <- now_us () -. s.Span.sstart
-
-  (* Child spans attach under the innermost open span; with no open
-     root (this request is not being recorded) the body runs bare. *)
-  let with_span _ctx ?attrs name f =
-    match spans () with
-    | [] -> f ()
-    | parent :: _ ->
-      let s = Span.make ?attrs name in
-      set_spans (s :: spans ());
-      let finish () =
-        close s;
-        (match spans () with
-        | top :: rest when top == s -> set_spans rest
-        | _ -> ());
-        parent.Span.rev_kids <- s :: parent.Span.rev_kids
-      in
-      (match f () with
-      | v ->
-        finish ();
-        v
-      | exception e ->
-        finish ();
-        raise e)
-
-  let annotate k v =
-    match spans () with
-    | [] -> ()
-    | s :: _ -> s.Span.rev_attrs <- (k, v) :: s.Span.rev_attrs
-
-  let annotate_int k v = if spans () <> [] then annotate k (string_of_int v)
-
   (* Open a root span for [ctx] and run [f] under it.  Records when the
      process-wide flag is on *or* the context itself asked to be
      sampled, so a single traced request on an otherwise-quiet server
@@ -900,12 +899,12 @@ module Trace = struct
      spans. *)
   let collect ctx ?attrs name f =
     if not (!on || ctx.sampled) then (f (), None)
-    else if spans () <> [] then (with_span ctx ?attrs name f, None)
+    else if spans () <> [] then (with_span ?attrs name f, None)
     else begin
       let s = Span.make ?attrs name in
       set_spans [ s ];
       let finish () =
-        close s;
+        close_span s;
         set_spans []
       in
       match f () with
@@ -917,17 +916,6 @@ module Trace = struct
         raise e
     end
 end
-
-(* Legacy ambient tracer API: thin shims over {!Trace} with the default
-   root context, kept so pre-context call sites (the instrumented
-   library internals) keep compiling unchanged. *)
-let with_span ?attrs name f = Trace.with_span Trace.ambient ?attrs name f
-
-let annotate = Trace.annotate
-
-let annotate_int = Trace.annotate_int
-
-let collect ?attrs name f = Trace.collect Trace.ambient ?attrs name f
 
 (* ------------------------------------------------------------------ *)
 (* Continuous folded-stack profiler                                     *)
@@ -1294,10 +1282,59 @@ module Report = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Request records                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* One finished query, batch or update, built once when the op returns
+   or raises and handed unchanged to every sink — the flight recorder,
+   the trace store, the query log — so the sinks cannot disagree about
+   what happened. *)
+module Request = struct
+  type op = Query | Batch | Update | Alert
+
+  let op_name = function
+    | Query -> "query"
+    | Batch -> "batch"
+    | Update -> "update"
+    | Alert -> "alert"
+
+  let op_of_name = function
+    | "query" -> Some Query
+    | "batch" -> Some Batch
+    | "update" -> Some Update
+    | "alert" -> Some Alert
+    | _ -> None
+
+  type t = {
+    op : op;
+    query : string;
+    strategy : string;
+    trace : Trace.ctx;
+    duration_ms : float;
+    counters : (string * int) list;
+    slow : bool;
+    error : string option;
+    root : Span.t option;
+  }
+
+  let slow_ms = ref (Option.bind (Sys.getenv_opt "EXPFINDER_SLOW_MS") float_of_string_opt)
+
+  let set_slow_threshold_ms v = slow_ms := v
+
+  let slow_threshold_ms () = !slow_ms
+
+  let make ~op ~query ~strategy ~trace ~duration_ms ~counters ?error ?root () =
+    let slow = match !slow_ms with Some t -> duration_ms >= t | None -> false in
+    { op; query; strategy; trace; duration_ms; counters; slow; error; root }
+end
+
+(* ------------------------------------------------------------------ *)
 (* Flight recorder                                                      *)
 (* ------------------------------------------------------------------ *)
 
 module Recorder = struct
+  (* The request without its span tree, so the ring's memory stays
+     bounded by its capacity alone. *)
   type event = {
     seq : int;
     query : string;
@@ -1320,15 +1357,10 @@ module Recorder = struct
     | Some _ | None -> default_capacity
 
   (* Unlike the metrics/span machinery the recorder is always on: one
-     array store per query, so there is always a tail of recent history
-     to dump when something goes wrong. *)
-  let slow_ms = ref (Option.bind (Sys.getenv_opt "EXPFINDER_SLOW_MS") float_of_string_opt)
+     array store per request, so there is always a tail of recent
+     history to dump when something goes wrong.
 
-  let set_slow_threshold_ms v = slow_ms := v
-
-  let slow_threshold_ms () = !slow_ms
-
-  (* The ring is swapped wholesale on resize/clear and the sequence
+     The ring is swapped wholesale on resize/clear and the sequence
      counter claims slots, so both live in [Atomic]s: a reader (the
      /stats handler, the postmortem writer) always sees a coherent
      array even while another thread is recording, and two recorders
@@ -1345,12 +1377,20 @@ module Recorder = struct
     let n = Stdlib.max 1 n in
     if n <> Array.length (Atomic.get buf) then Atomic.set buf (Array.make n None)
 
-  let record ?(trace_id = "") ~query ~strategy ~duration_ms ~counters () =
+  let record (r : Request.t) =
     let seq = Atomic.fetch_and_add next_seq 1 in
-    let slow = match !slow_ms with Some t -> duration_ms >= t | None -> false in
     let b = Atomic.get buf in
     b.(seq mod Array.length b) <-
-      Some { seq; query; strategy; duration_ms; slow; trace_id; counters }
+      Some
+        {
+          seq;
+          query = r.query;
+          strategy = r.strategy;
+          duration_ms = r.duration_ms;
+          slow = r.slow;
+          trace_id = r.trace.Trace.trace_id;
+          counters = r.counters;
+        }
 
   let recent () =
     Array.to_list (Atomic.get buf)
@@ -1386,7 +1426,7 @@ module Recorder = struct
     | events ->
       Format.fprintf ppf "flight recorder: %d event(s), capacity %d%s@." (List.length events)
         (capacity ())
-        (match !slow_ms with
+        (match Request.slow_threshold_ms () with
         | Some t -> Printf.sprintf ", slow >= %g ms" t
         | None -> ", no slow threshold (EXPFINDER_SLOW_MS unset)");
       List.iter
@@ -1589,102 +1629,6 @@ module Gcpause = struct
             :: acc)
           stats.per_domain [])
     |> List.sort (fun a b -> compare a.domain b.domain)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Allocation attribution                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Alloc = struct
-  (* Statistical allocation attribution via [Gc.Memprof]: every sampled
-     block is scaled by 1/rate words and charged to the innermost active
-     label ("query", "batch", "update", or "other").  The estimate's
-     relative error shrinks as allocation volume grows, which is exactly
-     when attribution matters. *)
-  let labels : string list ref = ref []
-
-  let current_label () = match !labels with l :: _ -> l | [] -> "other"
-
-  let pop () = labels := (match !labels with _ :: t -> t | [] -> [])
-
-  let with_label label f =
-    labels := label :: !labels;
-    match f () with
-    | v ->
-      pop ();
-      v
-    | exception e ->
-      pop ();
-      raise e
-
-  let table : (string, int ref) Hashtbl.t = Hashtbl.create 8
-
-  (* The whole profiling session is one value: [Some rate] while
-     memprof is attached, [None] otherwise.  One cell instead of a
-     rate ref plus an on/off flag means a reader can never observe the
-     flag and the rate out of sync. *)
-  let session : float option ref = ref None
-
-  let word_bytes = Sys.word_size / 8
-
-  let charge (alloc : Gc.Memprof.allocation) =
-    (match !session with
-    | None -> ()
-    | Some rate ->
-      let words = float_of_int alloc.Gc.Memprof.n_samples /. rate in
-      let bytes = int_of_float (words *. float_of_int word_bytes) in
-      (match Hashtbl.find_opt table (current_label ()) with
-      | Some cell -> cell := !cell + bytes
-      | None -> Hashtbl.replace table (current_label ()) (ref bytes)));
-    None
-
-  let start ~rate () =
-    if !session <> None || rate <= 0.0 || rate > 1.0 then false
-    else begin
-      let tracker =
-        { Gc.Memprof.null_tracker with Gc.Memprof.alloc_minor = charge; alloc_major = charge }
-      in
-      session := Some rate;
-      (* Some runtimes ship the [Gc.Memprof] interface but refuse to
-         start it (OCaml 5.0/5.1 raise ["not implemented in multicore"];
-         statmemprof returns in 5.2).  Attribution is an opt-in extra,
-         so degrade to inert rather than failing the process that asked
-         for it. *)
-      match Gc.Memprof.start ~sampling_rate:rate ~callstack_size:0 tracker with
-      | () -> true
-      | exception _ ->
-        session := None;
-        false
-    end
-
-  let stop () =
-    if !session <> None then begin
-      Gc.Memprof.stop ();
-      session := None
-    end
-
-  let active () = !session <> None
-
-  let rate () = !session
-
-  let start_from_env () =
-    match Option.bind (Sys.getenv_opt "EXPFINDER_MEMPROF_RATE") float_of_string_opt with
-    | Some r when r > 0.0 -> start ~rate:(Float.min 1.0 r) ()
-    | Some _ | None -> false
-
-  let bytes_by_label () =
-    Hashtbl.fold (fun label cell acc -> (label, !cell) :: acc) table [] |> List.sort compare
-
-  let reset () = Hashtbl.reset table
-
-  let to_json () =
-    Json.Obj
-      [
-        ("active", Json.Bool (active ()));
-        ("rate", match !session with Some r -> Json.Float r | None -> Json.Null);
-        ( "bytes_by_label",
-          Json.Obj (List.map (fun (label, b) -> (label, Json.Int b)) (bytes_by_label ())) );
-      ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -2075,15 +2019,9 @@ module Tracestore = struct
      store holds the interesting traces plus a thin representative
      sample without growing with traffic. *)
   type stored = {
-    strace_id : string;
-    sspan_id : string;
-    sop : string;  (* window/op class: "query", "batch", "update" *)
-    squery : string;
-    sduration_ms : float;
-    serror : bool;
-    skept : string;  (* admission reason: "error" | "slow" | "sampled" *)
-    sts_unix : float;
-    sroot : Span.t option;  (* span tree, when one was recorded *)
+    req : Request.t;  (* the span tree, when one was recorded, is [req.root] *)
+    kept : string;  (* admission reason: "error" | "slow" | "sampled" *)
+    ts_unix : float;
   }
 
   let default_capacity = 128
@@ -2138,39 +2076,28 @@ module Tracestore = struct
      worth advertising as a histogram exemplar — an exemplar must
      resolve to a stored trace).  Identity-free requests are never
      stored: there is nothing to look them up by. *)
-  let record ~trace_id ~span_id ~op ~query ~duration_ms ~error ?root () =
-    if trace_id = "" then false
+  let record ~window (r : Request.t) =
+    if r.trace.Trace.trace_id = "" then false
     else begin
       let slow =
-        let s = Window.summary (Window.get op) in
+        let s = Window.summary window in
         s.Window.count >= min_count_for_p99
         && (not (Float.is_nan s.Window.p99))
-        && duration_ms >= s.Window.p99
+        && r.duration_ms >= s.Window.p99
       in
       Mutex.protect lock (fun () ->
           state.seen <- state.seen + 1;
           let kept =
-            if error then Some "error"
+            if r.error <> None then Some "error"
             else if slow then Some "slow"
             else if state.seen mod head_rate = 1 then Some "sampled"
             else None
           in
           match kept with
           | None -> false
-          | Some skept ->
+          | Some kept ->
             state.ring.(state.next mod Array.length state.ring) <-
-              Some
-                {
-                  strace_id = trace_id;
-                  sspan_id = span_id;
-                  sop = op;
-                  squery = query;
-                  sduration_ms = duration_ms;
-                  serror = error;
-                  skept;
-                  sts_unix = Unix.gettimeofday ();
-                  sroot = root;
-                };
+              Some { req = r; kept; ts_unix = Unix.gettimeofday () };
             state.next <- state.next + 1;
             true)
     end
@@ -2179,7 +2106,9 @@ module Tracestore = struct
   let recent () =
     Mutex.protect lock (fun () ->
         Array.to_list state.ring |> List.filter_map Fun.id)
-    |> List.sort (fun a b -> compare b.sts_unix a.sts_unix)
+    |> List.sort (fun a b -> compare b.ts_unix a.ts_unix)
+
+  let trace_id s = s.req.Request.trace.Trace.trace_id
 
   (* Look a trace up by full id or by unique prefix (ids are long; the
      CLI lets humans paste a prefix). *)
@@ -2187,51 +2116,61 @@ module Tracestore = struct
     let id = String.lowercase_ascii (String.trim id) in
     if id = "" then None
     else
-      match List.filter (fun s -> s.strace_id = id) (recent ()) with
+      match List.filter (fun s -> trace_id s = id) (recent ()) with
       | hit :: _ -> Some hit
       | [] -> (
         match
           List.filter
-            (fun s -> String.length s.strace_id >= String.length id
-                      && String.sub s.strace_id 0 (String.length id) = id)
+            (fun s -> String.length (trace_id s) >= String.length id
+                      && String.sub (trace_id s) 0 (String.length id) = id)
             (recent ())
         with
         | [ hit ] -> Some hit
         | _ -> None)
 
-  let stored_json s =
+  let stored_json { req = r; kept; ts_unix } =
     Json.Obj
       [
-        ("trace_id", Json.Str s.strace_id);
-        ("span_id", Json.Str s.sspan_id);
-        ("op", Json.Str s.sop);
-        ("query", Json.Str s.squery);
-        ("duration_ms", Json.Float s.sduration_ms);
-        ("error", Json.Bool s.serror);
-        ("kept", Json.Str s.skept);
-        ("ts_unix", Json.Float s.sts_unix);
-        ("root", match s.sroot with Some sp -> Span.to_json sp | None -> Json.Null);
+        ("trace_id", Json.Str r.trace.Trace.trace_id);
+        ("span_id", Json.Str r.trace.Trace.span_id);
+        ("op", Json.Str (Request.op_name r.op));
+        ("query", Json.Str r.query);
+        ("duration_ms", Json.Float r.duration_ms);
+        ("error", Json.Bool (r.error <> None));
+        ("kept", Json.Str kept);
+        ("ts_unix", Json.Float ts_unix);
+        ("root", match r.root with Some sp -> Span.to_json sp | None -> Json.Null);
       ]
 
+  (* The wire form carries no strategy, counters, slow flag or error
+     text: they come back empty, an errored request's error as [""]. *)
   let stored_of_json json =
     let str k = Option.bind (Json.member k json) Json.str_opt in
     let float k = Option.bind (Json.member k json) Json.float_opt in
-    match str "trace_id" with
-    | None -> None
-    | Some strace_id ->
+    match (str "trace_id", Option.bind (str "op") Request.op_of_name) with
+    | Some trace_id, Some op ->
+      let req =
+        {
+          Request.op;
+          query = Option.value ~default:"" (str "query");
+          strategy = "";
+          trace =
+            { Trace.trace_id; span_id = Option.value ~default:"" (str "span_id"); sampled = false };
+          duration_ms = Option.value ~default:0.0 (float "duration_ms");
+          counters = [];
+          slow = false;
+          error =
+            (match Json.member "error" json with Some (Json.Bool true) -> Some "" | _ -> None);
+          root = Option.bind (Json.member "root" json) Span.of_json;
+        }
+      in
       Some
         {
-          strace_id;
-          sspan_id = Option.value ~default:"" (str "span_id");
-          sop = Option.value ~default:"" (str "op");
-          squery = Option.value ~default:"" (str "query");
-          sduration_ms = Option.value ~default:0.0 (float "duration_ms");
-          serror =
-            (match Json.member "error" json with Some (Json.Bool b) -> b | _ -> false);
-          skept = Option.value ~default:"" (str "kept");
-          sts_unix = Option.value ~default:0.0 (float "ts_unix");
-          sroot = Option.bind (Json.member "root" json) Span.of_json;
+          req;
+          kept = Option.value ~default:"" (str "kept");
+          ts_unix = Option.value ~default:0.0 (float "ts_unix");
         }
+    | _ -> None
 
   let to_json () =
     Json.Obj
@@ -2242,10 +2181,11 @@ module Tracestore = struct
       ]
 
   let pp_stored ppf s =
-    Format.fprintf ppf "trace %s  %s %s  %.3f ms  kept=%s%s@." s.strace_id s.sop s.squery
-      s.sduration_ms s.skept
-      (if s.serror then "  ERROR" else "");
-    match s.sroot with
+    let r = s.req in
+    Format.fprintf ppf "trace %s  %s %s  %.3f ms  kept=%s%s@." r.trace.Trace.trace_id
+      (Request.op_name r.op) r.query r.duration_ms s.kept
+      (if r.error <> None then "  ERROR" else "");
+    match r.root with
     | None -> Format.fprintf ppf "  (no span tree recorded)@."
     | Some root -> Span.pp_annotated ppf root
 end
@@ -2369,20 +2309,7 @@ module Qlog = struct
 
   let min_schema_version = 1
 
-  type kind = Query | Batch | Update | Alert
-
-  let kind_name = function
-    | Query -> "query"
-    | Batch -> "batch"
-    | Update -> "update"
-    | Alert -> "alert"
-
-  let kind_of_name = function
-    | "query" -> Some Query
-    | "batch" -> Some Batch
-    | "update" -> Some Update
-    | "alert" -> Some Alert
-    | _ -> None
+  type kind = Request.op = Query | Batch | Update | Alert
 
   type event = {
     seq : int;
@@ -2437,7 +2364,7 @@ module Qlog = struct
              ("v", Json.Int schema_version);
              ("seq", Json.Int e.seq);
              ("ts_unix", Json.Float e.ts_unix);
-             ("kind", Json.Str (kind_name e.kind));
+             ("kind", Json.Str (Request.op_name e.kind));
              ("graph_id", Json.Int e.graph_id);
              ("epoch", Json.Int e.epoch);
              ("query", Json.Str e.query);
@@ -2459,7 +2386,7 @@ module Qlog = struct
     let float k = Option.bind (Json.member k json) Json.float_opt in
     match Json.member "v" json with
     | Some (Json.Int v) when v >= min_schema_version && v <= schema_version -> (
-      match (int "seq", Option.bind (str "kind") kind_of_name, str "query") with
+      match (int "seq", Option.bind (str "kind") Request.op_of_name, str "query") with
       | Some seq, Some kind, Some query ->
         Ok
           {
@@ -2489,29 +2416,24 @@ module Qlog = struct
     | Some (Json.Int v) -> Error (Printf.sprintf "unsupported qlog schema version %d" v)
     | Some _ | None -> Error "not a qlog event (no integer \"v\" field)"
 
-  let emit ~kind ~graph_id ~epoch ~query ~strategy ~duration_ms ~counters ~pairs ~digest
-      ?(trace_id = "") ?error ?payload () =
+  let emit ~graph_id ~epoch ~pairs ~digest ?payload (r : Request.t) =
     if Jsonl_sink.enabled sink_t then begin
-      let seq = Atomic.fetch_and_add next_seq 1 in
-      let slow =
-        match Recorder.slow_threshold_ms () with Some t -> duration_ms >= t | None -> false
-      in
       let e =
         {
-          seq;
+          seq = Atomic.fetch_and_add next_seq 1;
           ts_unix = Unix.gettimeofday ();
-          kind;
+          kind = r.op;
           graph_id;
           epoch;
-          query;
-          strategy;
-          duration_ms;
-          counters;
+          query = r.query;
+          strategy = r.strategy;
+          duration_ms = r.duration_ms;
+          counters = r.counters;
           pairs;
           digest;
-          slow;
-          trace_id;
-          error;
+          slow = r.slow;
+          trace_id = r.trace.Trace.trace_id;
+          error = r.error;
           payload;
         }
       in
@@ -2787,7 +2709,7 @@ module Timeseries = struct
   let sink () = Jsonl_sink.path sink_t
 
   (* One sampler tick: pull every live source (op-class windows, process
-     gauges, registry counters, allocation attribution) into [t] and
+     gauges, registry counters) into [t] and
      append the tick to the JSONL sink.  Returns what was recorded so
      callers (tests, the sink line) see one consistent snapshot. *)
   let sample ?now ?(persist = true) t =
@@ -2856,9 +2778,6 @@ module Timeseries = struct
                if v <> 0.0 || Hashtbl.mem t.kinds key then put Level key v
              end
            | Metrics.M_histogram _ -> ());
-    List.iter
-      (fun (label, bytes) -> cum ("alloc." ^ label) (float_of_int bytes))
-      (Alloc.bytes_by_label ());
     let fields = List.rev !out in
     if persist && Jsonl_sink.enabled sink_t then
       Jsonl_sink.emit sink_t
@@ -3141,9 +3060,10 @@ module Slo = struct
       a.since_unix <- now;
       (* Transitions land in the query log so a workload capture carries
          its own alert history. *)
-      Qlog.emit ~kind:Qlog.Alert ~graph_id:0 ~epoch:0 ~query:o.oname
-        ~strategy:(match next with Firing -> "firing" | Passing -> "resolved")
-        ~duration_ms:0.0 ~counters:[] ~pairs:0 ~digest:"" ~payload:(alert_json a) ()
+      Qlog.emit ~graph_id:0 ~epoch:0 ~pairs:0 ~digest:"" ~payload:(alert_json a)
+        (Request.make ~op:Alert ~query:o.oname
+           ~strategy:(match next with Firing -> "firing" | Passing -> "resolved")
+           ~trace:Trace.ambient ~duration_ms:0.0 ~counters:[] ())
     end
 
   let evaluate ?now ?(ts = Timeseries.shared) () =
@@ -3376,7 +3296,7 @@ module Postmortem = struct
   (* Everything a 3am debugging session wants in one artifact: identity
      and configuration, the op-class windows, active alerts, the full
      metrics registry, the flight-recorder tail, the last two minutes of
-     every timeseries, GC totals and allocation attribution. *)
+     every timeseries and GC totals. *)
   let document ?(reason = "unspecified") () =
     let now = Unix.gettimeofday () in
     let gc = Gc.quick_stat () in
@@ -3403,7 +3323,6 @@ module Postmortem = struct
               ("pause_us_total", Json.Int (Gcpause.pause_us_total ()));
               ("pause_us_max", Json.Int (Gcpause.pause_us_max ()));
             ] );
-        ("alloc", Alloc.to_json ());
         ( "windows",
           Json.Obj
             (List.map

@@ -246,9 +246,8 @@ module Trace : sig
   }
 
   val ambient : ctx
-  (** The default root context: identity-free, never sampled.  The
-      top-level [with_span]/[collect] shims use it, giving pre-context
-      call sites their historical behaviour. *)
+  (** The default root context: identity-free, never sampled; spans
+      record under it only while the global flag is on. *)
 
   val make : ?sampled:bool -> ?trace_id:string -> unit -> ctx
   (** Mint a fresh context (fresh span id always; fresh trace id unless
@@ -274,17 +273,6 @@ module Trace : sig
       and minting a fresh local span id.  [None] on anything malformed
       — the caller mints a fresh context instead of erroring. *)
 
-  val with_span : ctx -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-  (** Run the function inside a child span of the innermost open span
-      of the current domain.  When no {!collect} is recording, this is
-      just the function call. *)
-
-  val annotate : string -> string -> unit
-  (** Attach a key/value annotation to the innermost open span (dropped
-      when none is open). *)
-
-  val annotate_int : string -> int -> unit
-
   val collect :
     ctx -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a * Span.t option
   (** Run the function inside a {e root} span and return the completed
@@ -295,22 +283,15 @@ module Trace : sig
 end
 
 val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [Trace.with_span Trace.ambient]: run the function inside a child
-    span of the innermost open span.  When telemetry is disabled or no
-    {!collect} is active, this is just the function call. *)
+(** Run the function inside a child span of the innermost open span of
+    the current domain.  When no {!Trace.collect} is recording, this is
+    just the function call. *)
 
 val annotate : string -> string -> unit
 (** Attach a key/value annotation to the innermost open span (dropped
     when none is open). *)
 
 val annotate_int : string -> int -> unit
-
-val collect :
-  ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a * Span.t option
-(** [Trace.collect Trace.ambient]: run the function inside a {e root}
-    span and return the completed tree.  Returns [None] (plain nested
-    span) when telemetry is disabled or another collection is already
-    active — so the outermost caller owns the trace. *)
 
 (** {1 Clock} *)
 
@@ -466,19 +447,75 @@ module Report : sig
   (** One line per non-[Unchanged] comparison plus a summary line. *)
 end
 
+(** {1 Request records}
+
+    One finished query, batch or update batch, built once by the
+    engine when the op returns or raises and handed unchanged to every
+    sink: {!Recorder} keeps it without its span tree and adds a
+    sequence number, {!Tracestore} keeps it whole and adds the
+    admission reason, {!Qlog} adds the snapshot identity, answer size,
+    digest and replayable payload. *)
+
+module Request : sig
+  type op =
+    | Query
+    | Batch
+    | Update
+    | Alert  (** an SLO state transition, logged to {!Qlog} only *)
+
+  val op_name : op -> string
+  (** ["query"], ["batch"], ["update"], ["alert"]; also the name of
+      the op's {!Window}. *)
+
+  val op_of_name : string -> op option
+
+  type t = {
+    op : op;
+    query : string;  (** pattern fingerprint / batch label / ["update"] *)
+    strategy : string;
+        (** provenance / refinement strategy; ["error"], ["batch/error"]
+            or ["update/error"] when the op raised *)
+    trace : Trace.ctx;  (** {!Trace.ambient} when the request carried no context *)
+    duration_ms : float;
+    counters : (string * int) list;  (** nonzero counter deltas over the op *)
+    slow : bool;  (** duration reached the slow threshold *)
+    error : string option;  (** the exception, when the op raised *)
+    root : Span.t option;  (** span tree, when one was recorded *)
+  }
+
+  val make :
+    op:op ->
+    query:string ->
+    strategy:string ->
+    trace:Trace.ctx ->
+    duration_ms:float ->
+    counters:(string * int) list ->
+    ?error:string ->
+    ?root:Span.t ->
+    unit ->
+    t
+  (** The record, with [slow] set from {!slow_threshold_ms}. *)
+
+  val slow_threshold_ms : unit -> float option
+  (** The slow-request threshold; initialised from [EXPFINDER_SLOW_MS],
+      [None] when unset (nothing is flagged). *)
+
+  val set_slow_threshold_ms : float option -> unit
+end
+
 (** {1 Flight recorder}
 
-    An always-on, fixed-size ring buffer of recent query events (the
-    last {!Recorder.capacity} queries): pattern digest, strategy,
-    duration and per-query counter deltas.  Queries at least
-    [EXPFINDER_SLOW_MS] milliseconds long are flagged as slow.  Dumped
-    by [expfinder stats --recent] and automatically when the
-    differential self-check fails. *)
+    An always-on, fixed-size ring buffer of recent requests (the last
+    {!Recorder.capacity} queries, batches and update batches): pattern
+    digest, strategy, duration and per-request counter deltas, with
+    the {!Request.slow_threshold_ms} flag.  Dumped by [expfinder stats
+    --recent] and automatically when the differential self-check
+    fails. *)
 
 module Recorder : sig
   type event = {
-    seq : int;  (** monotonic sequence number of the query *)
-    query : string;  (** pattern fingerprint *)
+    seq : int;  (** monotonic sequence number of the request *)
+    query : string;  (** pattern fingerprint / batch label / ["update"] *)
     strategy : string;  (** provenance / refinement strategy *)
     duration_ms : float;
     slow : bool;  (** duration reached the slow threshold *)
@@ -494,21 +531,12 @@ module Recorder : sig
   (** Resize the ring at runtime (floor 1).  Resizing to a different
       size drops the buffered history. *)
 
-  val slow_threshold_ms : unit -> float option
-  (** The slow-query threshold; initialised from [EXPFINDER_SLOW_MS],
-      [None] when unset (nothing is flagged). *)
-
-  val set_slow_threshold_ms : float option -> unit
-
-  val record :
-    ?trace_id:string ->
-    query:string -> strategy:string -> duration_ms:float -> counters:(string * int) list ->
-    unit -> unit
-  (** Push an event (the engine calls this on every query).  Slots are
-      claimed with an atomic sequence counter and the ring array itself
-      is swapped atomically on resize/clear, so concurrent recorders
-      never collide and a concurrent reader always sees a coherent
-      (if momentarily stale) ring. *)
+  val record : Request.t -> unit
+  (** Push the request's event (the engine calls this once per op).
+      Slots are claimed with an atomic sequence counter and the ring
+      array itself is swapped atomically on resize/clear, so concurrent
+      recorders never collide and a concurrent reader always sees a
+      coherent (if momentarily stale) ring. *)
 
   val recent : unit -> event list
   (** Buffered events, oldest first. *)
@@ -519,7 +547,10 @@ module Recorder : sig
 
   val pp : Format.formatter -> unit -> unit
 
+  val event_json : event -> Json.t
+
   val to_json : unit -> Json.t
+  (** {!recent} as a JSON array of {!event_json} objects. *)
 end
 
 (** {1 GC pause observation}
@@ -577,50 +608,6 @@ module Gcpause : sig
   (** Per-domain pause totals, sorted by domain slot.  Each domain also
       feeds an always-on registry histogram
       [gc.domain<i>.pause_us]. *)
-end
-
-(** {1 Allocation attribution}
-
-    A [Gc.Memprof]-based statistical allocation profiler: while active,
-    sampled allocations are scaled by [1/rate] and charged (in bytes) to
-    the innermost {!Alloc.with_label} label — the engine labels its op
-    classes ("query" / "batch" / "update"), everything else lands under
-    "other".  Enabled in the server and bench via
-    [EXPFINDER_MEMPROF_RATE]. *)
-
-module Alloc : sig
-  val with_label : string -> (unit -> 'a) -> 'a
-  (** Run [f] with [label] as the current attribution label (labels
-      nest; exception-safe). *)
-
-  val current_label : unit -> string
-  (** The innermost active label, or ["other"]. *)
-
-  val start : rate:float -> unit -> bool
-  (** Start sampling at [rate] samples per allocated word (0 < rate <=
-      1; typical: 1e-4).  Returns [false] if already active, the rate
-      is out of range, or the runtime ships the [Gc.Memprof] interface
-      without implementing it (OCaml 5.0/5.1 multicore) — attribution
-      then stays inert instead of failing the caller. *)
-
-  val start_from_env : unit -> bool
-  (** {!start} with [EXPFINDER_MEMPROF_RATE] (clamped to 1.0); [false]
-      when unset or unparsable. *)
-
-  val stop : unit -> unit
-  (** Stop and discard the active profile (idempotent). *)
-
-  val active : unit -> bool
-
-  val rate : unit -> float option
-
-  val bytes_by_label : unit -> (string * int) list
-  (** Estimated bytes allocated per label since the last {!reset},
-      sorted by label. *)
-
-  val reset : unit -> unit
-
-  val to_json : unit -> Json.t
 end
 
 (** {1 Process gauges} *)
@@ -761,15 +748,9 @@ end
 
 module Tracestore : sig
   type stored = {
-    strace_id : string;
-    sspan_id : string;  (** the request's root span id *)
-    sop : string;  (** op class: ["query"], ["batch"], ["update"] *)
-    squery : string;  (** pattern fingerprint / batch label / ["update"] *)
-    sduration_ms : float;
-    serror : bool;
-    skept : string;  (** admission reason: ["error"], ["slow"] or ["sampled"] *)
-    sts_unix : float;
-    sroot : Span.t option;  (** span tree, when one was recorded *)
+    req : Request.t;  (** the request, span tree included *)
+    kept : string;  (** admission reason: ["error"], ["slow"] or ["sampled"] *)
+    ts_unix : float;  (** wall-clock seconds at admission *)
   }
 
   val default_capacity : int
@@ -780,20 +761,13 @@ module Tracestore : sig
   val set_capacity : int -> unit
   (** Resize the ring (floor 1); resizing drops the stored traces. *)
 
-  val record :
-    trace_id:string ->
-    span_id:string ->
-    op:string ->
-    query:string ->
-    duration_ms:float ->
-    error:bool ->
-    ?root:Span.t ->
-    unit ->
-    bool
-  (** Offer a finished request; [true] iff it was admitted.  The engine
-      uses the verdict to decide whether to advertise the trace id as a
-      histogram exemplar, so exemplars always resolve to stored traces.
-      Identity-free requests ([trace_id = ""]) are never stored. *)
+  val record : window:Window.t -> Request.t -> bool
+  (** Offer a finished request; [true] iff it was admitted.  [window]
+      is the request's op window, whose p99 decides tail admission.
+      The engine uses the verdict to decide whether to advertise the
+      trace id as a histogram exemplar, so exemplars always resolve to
+      stored traces.  Identity-free requests (trace id [""]) are never
+      stored. *)
 
   val recent : unit -> stored list
   (** Stored traces, newest first. *)
@@ -810,7 +784,10 @@ module Tracestore : sig
 
   val stored_of_json : Json.t -> stored option
   (** Parse one {!stored_json} object back (the [expfinder trace]
-      client side). *)
+      client side); [None] without a trace id or a known op.  The wire
+      form carries no strategy, counters, slow flag or error text, so
+      those come back empty and an errored request's [error] as
+      [Some ""]. *)
 
   val to_json : unit -> Json.t
   (** The [/traces.json] document: [{capacity; seen; traces}]. *)
@@ -848,12 +825,9 @@ module Qlog : sig
       come back with [trace_id = ""]).  Anything outside
       [[min_schema_version, schema_version]] is rejected. *)
 
-  type kind = Query | Batch | Update | Alert
-
-  val kind_name : kind -> string
-  (** ["query"], ["batch"], ["update"], ["alert"].  [Alert] events are
-      SLO state transitions written by {!Slo.evaluate}; replay skips
-      them. *)
+  type kind = Request.op = Query | Batch | Update | Alert
+  (** Named by {!Request.op_name}.  [Alert] events are SLO state
+      transitions written by {!Slo.evaluate}; replay skips them. *)
 
   type event = {
     seq : int;  (** request id, monotonic within the process *)
@@ -893,24 +867,13 @@ module Qlog : sig
       previous archive) and a fresh file is started. *)
 
   val emit :
-    kind:kind ->
-    graph_id:int ->
-    epoch:int ->
-    query:string ->
-    strategy:string ->
-    duration_ms:float ->
-    counters:(string * int) list ->
-    pairs:int ->
-    digest:string ->
-    ?trace_id:string ->
-    ?error:string ->
-    ?payload:Json.t ->
-    unit ->
-    unit
-  (** Append one event (no-op without a sink).  The sequence number,
-      timestamp and slow flag are assigned here; every event is flushed
-      so a crash loses at most the event being written.  Sink I/O
-      failures (unwritable path, full disk) never raise into the
+    graph_id:int -> epoch:int -> pairs:int -> digest:string -> ?payload:Json.t -> Request.t -> unit
+  (** Append the request's event (no-op without a sink): its kind,
+      query, strategy, duration, counters, slow flag, trace id and
+      error come from the request, the rest from the arguments.  The
+      sequence number and timestamp are assigned here; every event is
+      flushed so a crash loses at most the event being written.  Sink
+      I/O failures (unwritable path, full disk) never raise into the
       caller: the sink is disabled with one stderr warning, and
       {!set_sink} re-arms it. *)
 
@@ -934,8 +897,8 @@ end
     rings are exact downsamples of the fine one and reads never
     allocate beyond the returned points.  {!Timeseries.sample} is the
     periodic collector driven by the server's sampler thread; it pulls
-    the op-class windows, {!process_stats}, the counter registry and
-    {!Alloc} into the shared instance and appends one JSONL tick to the
+    the op-class windows, {!process_stats} and the counter registry
+    into the shared instance and appends one JSONL tick to the
     [EXPFINDER_TIMESERIES] sink (rotation as in {!Qlog}, via
     [EXPFINDER_TIMESERIES_MAX_BYTES]). *)
 
@@ -1127,7 +1090,7 @@ end
 (** {1 Postmortem dumps}
 
     One self-contained crash artifact: reason, identity and
-    [EXPFINDER_*] configuration, GC totals and allocation attribution,
+    [EXPFINDER_*] configuration, GC totals,
     op-class window summaries, alert state, the metrics registry, the
     flight-recorder tail and the recent timeseries — written atomically
     (dot-tmp then rename) to [EXPFINDER_POSTMORTEM_DIR] on fatal signal

@@ -124,7 +124,7 @@ let report ?(mode = "replay") summary =
   List.iter
     (fun (o : outcome) ->
       if o.skipped = None then begin
-        let key = Printf.sprintf "%s.%s" (Qlog.kind_name o.event.Qlog.kind) o.event.Qlog.query in
+        let key = Printf.sprintf "%s.%s" (Request.op_name o.event.Qlog.kind) o.event.Qlog.query in
         let replayed, recorded, traces =
           match Hashtbl.find_opt groups key with
           | Some cell -> cell

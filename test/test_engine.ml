@@ -322,6 +322,43 @@ let test_differential_mode_passes () =
   let indexed = Engine.evaluate engine q in
   Alcotest.(check bool) "indexed answer passes too" true indexed.Engine.total
 
+(* With telemetry off a sampled request still records a profile; its
+   counters are the request's own deltas, never absolute gauge readings
+   such as the process.* values a prior [process_stats] published. *)
+let test_sampled_profile_counts_deltas () =
+  let open Expfinder_telemetry in
+  set_enabled false;
+  let engine = Engine.create (Collab.graph ()) in
+  let q = Collab.query () in
+  ignore (process_stats () : (string * int) list);
+  let answer = Engine.evaluate ~trace:(Trace.make ~sampled:true ()) engine q in
+  match answer.Engine.profile with
+  | None -> Alcotest.fail "a sampled request yields a profile"
+  | Some p ->
+    let absolute =
+      List.filter
+        (fun (name, _) -> String.length name >= 8 && String.sub name 0 8 = "process.")
+        p.Engine.counters
+    in
+    Alcotest.(check (list (pair string int))) "no process.* readings" [] absolute
+
+(* Update batches reach the flight recorder like queries and batches. *)
+let test_updates_reach_recorder () =
+  let open Expfinder_telemetry in
+  Recorder.clear ();
+  Fun.protect ~finally:Recorder.clear @@ fun () ->
+  let engine = Engine.create (Collab.graph ()) in
+  let ctx = Trace.make () in
+  ignore
+    (Engine.apply_updates ~trace:ctx engine
+       [ Update.Insert_edge (fst Collab.e1, snd Collab.e1) ]);
+  match
+    List.find_opt (fun (e : Recorder.event) -> e.Recorder.trace_id = ctx.Trace.trace_id)
+      (Recorder.recent ())
+  with
+  | None -> Alcotest.fail "the update batch is missing from the flight recorder"
+  | Some e -> Alcotest.(check string) "recorded as an update" "update" e.Recorder.strategy
+
 let () =
   Alcotest.run "engine"
     [
@@ -334,6 +371,8 @@ let () =
           Alcotest.test_case "cache stats" `Quick test_cache_stats;
           Alcotest.test_case "containment reuse" `Quick test_containment_reuse;
           Alcotest.test_case "differential mode" `Quick test_differential_mode_passes;
+          Alcotest.test_case "sampled profile counts deltas" `Quick
+            test_sampled_profile_counts_deltas;
         ] );
       ( "topk",
         [
@@ -353,5 +392,6 @@ let () =
           Alcotest.test_case "consistency stream" `Quick test_engine_consistency_under_updates;
           Alcotest.test_case "digest follows the epoch" `Quick test_digest_follows_epoch;
           Alcotest.test_case "batch digests" `Quick test_batch_digests;
+          Alcotest.test_case "updates reach the recorder" `Quick test_updates_reach_recorder;
         ] );
     ]

@@ -298,7 +298,7 @@ let parse_json text =
 let test_chrome_trace_roundtrip () =
   with_telemetry true (fun () ->
       let (), span =
-        collect "root" ~attrs:[ ("who", "test") ] (fun () ->
+        Trace.collect Trace.ambient "root" ~attrs:[ ("who", "test") ] (fun () ->
             with_span "child-a" (fun () -> annotate_int "items" 3);
             with_span "child-b" (fun () ->
                 with_span "grandchild" (fun () -> ())))
@@ -483,21 +483,27 @@ let test_report_diff_iqr_noise_rule () =
 
 (* --- flight recorder ---------------------------------------------------- *)
 
+(* A finished request as the engine's bracket would build it. *)
+let request ?(op = Request.Query) ?(trace = Trace.ambient) ?error ?root ?(strategy = "direct")
+    ?(counters = []) ~query ~duration_ms () =
+  Request.make ~op ~query ~strategy ~trace ~duration_ms ~counters ?error ?root ()
+
 let test_recorder_ring () =
   Recorder.clear ();
-  Recorder.set_slow_threshold_ms (Some 1.0);
+  Request.set_slow_threshold_ms (Some 1.0);
   Fun.protect
     ~finally:(fun () ->
-      Recorder.set_slow_threshold_ms None;
+      Request.set_slow_threshold_ms None;
       Recorder.clear ())
     (fun () ->
       for i = 1 to Recorder.capacity () + 5 do
         Recorder.record
-          ~query:(Printf.sprintf "q%d" i)
-          ~strategy:"direct/simulation"
-          ~duration_ms:(if i mod 10 = 0 then 2.0 else 0.1)
-          ~counters:[ ("engine.queries", 1) ]
-          ()
+          (request
+             ~query:(Printf.sprintf "q%d" i)
+             ~strategy:"direct/simulation"
+             ~duration_ms:(if i mod 10 = 0 then 2.0 else 0.1)
+             ~counters:[ ("engine.queries", 1) ]
+             ())
       done;
       let events = Recorder.recent () in
       Alcotest.(check int) "ring keeps the last capacity events" (Recorder.capacity ())
@@ -651,12 +657,11 @@ let test_qlog_emit_load_roundtrip () =
   let path = Filename.temp_file "expfinder-qlog" ".jsonl" in
   with_qlog_sink path (fun () ->
       Alcotest.(check bool) "sink configured" true (Qlog.enabled ());
-      Qlog.emit ~kind:Qlog.Query ~graph_id:7 ~epoch:3 ~query:"fp1" ~strategy:"direct"
-        ~duration_ms:1.25
-        ~counters:[ ("bsim.sweeps", 2) ]
-        ~pairs:9 ~digest:"abc123" ~payload:(Json.Str "pattern-text") ();
-      Qlog.emit ~kind:Qlog.Update ~graph_id:7 ~epoch:4 ~query:"update" ~strategy:"updates"
-        ~duration_ms:0.5 ~counters:[] ~pairs:2 ~digest:"" ~error:"boom" ();
+      Qlog.emit ~graph_id:7 ~epoch:3 ~pairs:9 ~digest:"abc123" ~payload:(Json.Str "pattern-text")
+        (request ~query:"fp1" ~duration_ms:1.25 ~counters:[ ("bsim.sweeps", 2) ] ());
+      Qlog.emit ~graph_id:7 ~epoch:4 ~pairs:2 ~digest:""
+        (request ~op:Request.Update ~query:"update" ~strategy:"updates" ~duration_ms:0.5
+           ~error:"boom" ());
       Qlog.close ();
       match Qlog.load path with
       | Error e -> Alcotest.fail e
@@ -695,8 +700,8 @@ let test_qlog_rotation () =
           (* Each event is ~150 bytes; 100 of them must cross the 4 KiB
              ceiling and rotate at least once. *)
           for i = 0 to 99 do
-            Qlog.emit ~kind:Qlog.Query ~graph_id:1 ~epoch:i ~query:"fp-rotation"
-              ~strategy:"direct" ~duration_ms:0.1 ~counters:[] ~pairs:1 ~digest:"d" ()
+            Qlog.emit ~graph_id:1 ~epoch:i ~pairs:1 ~digest:"d"
+              (request ~query:"fp-rotation" ~duration_ms:0.1 ())
           done;
           Qlog.close ();
           Alcotest.(check bool) "archived generation exists" true
@@ -724,12 +729,10 @@ let test_qlog_unwritable_sink_disables () =
     ~finally:(fun () -> Qlog.set_sink None)
     (fun () ->
       Alcotest.(check bool) "sink configured" true (Qlog.enabled ());
-      Qlog.emit ~kind:Qlog.Query ~graph_id:1 ~epoch:0 ~query:"fp" ~strategy:"direct"
-        ~duration_ms:0.1 ~counters:[] ~pairs:0 ~digest:"d" ();
+      Qlog.emit ~graph_id:1 ~epoch:0 ~pairs:0 ~digest:"d" (request ~query:"fp" ~duration_ms:0.1 ());
       Alcotest.(check bool) "sink disabled after the failure" false (Qlog.enabled ());
       (* Further emits are no-ops, not repeated failures. *)
-      Qlog.emit ~kind:Qlog.Query ~graph_id:1 ~epoch:1 ~query:"fp" ~strategy:"direct"
-        ~duration_ms:0.1 ~counters:[] ~pairs:0 ~digest:"d" ())
+      Qlog.emit ~graph_id:1 ~epoch:1 ~pairs:0 ~digest:"d" (request ~query:"fp" ~duration_ms:0.1 ()))
 
 (* Replay must verify across a rotation boundary: capture enough served
    queries to rotate the log, then replay the concatenation of the
@@ -1114,25 +1117,7 @@ let test_postmortem_without_dir_is_inert () =
       Alcotest.(check bool) "write without a dir returns None" true
         (Postmortem.write ~reason:"x" () = None))
 
-(* --- allocation attribution & window totals ------------------------------ *)
-
-let test_alloc_labels () =
-  Alcotest.(check string) "default label" "other" (Alloc.current_label ());
-  Alloc.with_label "query" (fun () ->
-      Alcotest.(check string) "label applies" "query" (Alloc.current_label ());
-      Alloc.with_label "batch" (fun () ->
-          Alcotest.(check string) "labels nest" "batch" (Alloc.current_label ())));
-  Alcotest.(check string) "label restored" "other" (Alloc.current_label ());
-  (try Alloc.with_label "boom" (fun () -> failwith "escape") with Failure _ -> ());
-  Alcotest.(check string) "label restored after an exception" "other" (Alloc.current_label ());
-  Alcotest.(check bool) "rate 0 rejected" false (Alloc.start ~rate:0.0 ());
-  Alcotest.(check bool) "rate > 1 rejected" false (Alloc.start ~rate:2.0 ());
-  (* On runtimes without statmemprof (OCaml 5.0/5.1) start degrades to
-     inert; either way stop must be safe to call. *)
-  let started = Alloc.start ~rate:0.01 () in
-  Alloc.stop ();
-  Alcotest.(check bool) "inactive after stop" false (Alloc.active ());
-  ignore (started : bool)
+(* --- window totals --------------------------------------------------------- *)
 
 let test_window_totals () =
   with_telemetry true (fun () ->
@@ -1289,7 +1274,7 @@ let test_trace_collect_sampled () =
   set_enabled false;
   let ctx = Trace.make ~sampled:true () in
   let v, span =
-    Trace.collect ctx "root" (fun () -> Trace.with_span ctx "child" (fun () -> 41) + 1)
+    Trace.collect ctx "root" (fun () -> with_span "child" (fun () -> 41) + 1)
   in
   Alcotest.(check int) "body ran" 42 v;
   (match span with
@@ -1305,9 +1290,9 @@ let test_span_self_time_and_critical_path () =
   let ctx = Trace.make ~sampled:true () in
   let (), span =
     Trace.collect ctx "root" (fun () ->
-        Trace.with_span ctx "fast" (fun () -> ());
-        Trace.with_span ctx "slow" (fun () ->
-            Trace.with_span ctx "leaf" (fun () -> Unix.sleepf 0.002)))
+        with_span "fast" (fun () -> ());
+        with_span "slow" (fun () ->
+            with_span "leaf" (fun () -> Unix.sleepf 0.002)))
   in
   let s = match span with Some s -> s | None -> Alcotest.fail "no span tree" in
   (* self time never exceeds the span's own duration, and the root's
@@ -1351,17 +1336,15 @@ let test_chrome_lanes_from_trace_ids () =
 
 let test_tracestore_admission () =
   Tracestore.clear ();
-  (* Use a dedicated op class so engine-driven suites cannot have
-     warmed its window: an empty window has no p99, so nothing is
-     tail-admitted and the head/error rules are observable alone. *)
-  let op = "tstore-admission" in
-  let offer ?(error = false) ?(tid = Trace.make ()) () =
-    Tracestore.record ~trace_id:tid.Trace.trace_id ~span_id:tid.Trace.span_id ~op
-      ~query:"q" ~duration_ms:1.0 ~error ()
+  (* Use a dedicated window so engine-driven suites cannot have warmed
+     it: an empty window has no p99, so nothing is tail-admitted and the
+     head/error rules are observable alone. *)
+  let window = Window.get "tstore-admission" in
+  let offer ?error ?(tid = Trace.make ()) () =
+    Tracestore.record ~window (request ~trace:tid ~query:"q" ~duration_ms:1.0 ?error ())
   in
   Alcotest.(check bool) "identity-free requests never stored" false
-    (Tracestore.record ~trace_id:"" ~span_id:"" ~op ~query:"q" ~duration_ms:1.0
-       ~error:false ());
+    (Tracestore.record ~window (request ~query:"q" ~duration_ms:1.0 ()));
   Alcotest.(check bool) "first arrival head-sampled" true (offer ());
   for i = 2 to 10 do
     Alcotest.(check bool)
@@ -1369,27 +1352,25 @@ let test_tracestore_admission () =
       false (offer ())
   done;
   Alcotest.(check bool) "arrival 11 head-sampled" true (offer ());
-  Alcotest.(check bool) "errors always kept" true (offer ~error:true ());
+  Alcotest.(check bool) "errors always kept" true (offer ~error:"boom" ());
   Alcotest.(check int) "12 offers seen" 12 (Tracestore.seen ());
   let stored = Tracestore.recent () in
   Alcotest.(check int) "3 admitted" 3 (List.length stored);
-  let kept_reasons = List.map (fun s -> s.Tracestore.skept) stored in
+  let kept_reasons = List.map (fun s -> s.Tracestore.kept) stored in
   Alcotest.(check bool) "error reason recorded" true (List.mem "error" kept_reasons);
   Alcotest.(check bool) "sampled reason recorded" true (List.mem "sampled" kept_reasons);
   (* Slow-path admission: warm the op window past the p99 minimum, then
      offer something slower than everything seen so far. *)
-  let w = Window.get op in
   for _ = 1 to 30 do
-    Window.observe w 1.0
+    Window.observe window 1.0
   done;
   let slow_ctx = Trace.make () in
   Alcotest.(check bool) "p99-exceeding request tail-admitted" true
-    (Tracestore.record ~trace_id:slow_ctx.Trace.trace_id ~span_id:slow_ctx.Trace.span_id
-       ~op ~query:"q" ~duration_ms:500.0 ~error:false ());
+    (Tracestore.record ~window (request ~trace:slow_ctx ~query:"q" ~duration_ms:500.0 ()));
   (match Tracestore.find slow_ctx.Trace.trace_id with
-  | Some s -> Alcotest.(check string) "kept as slow" "slow" s.Tracestore.skept
+  | Some s -> Alcotest.(check string) "kept as slow" "slow" s.Tracestore.kept
   | None -> Alcotest.fail "slow trace not stored");
-  Window.reset w;
+  Window.reset window;
   Tracestore.clear ()
 
 let test_tracestore_find_and_roundtrip () =
@@ -1397,10 +1378,11 @@ let test_tracestore_find_and_roundtrip () =
   let ctx = Trace.make ~sampled:true () in
   let (), root = Trace.collect ctx "root" (fun () -> ()) in
   Alcotest.(check bool) "admitted" true
-    (Tracestore.record ~trace_id:ctx.Trace.trace_id ~span_id:ctx.Trace.span_id ~op:"query"
-       ~query:"fp" ~duration_ms:2.5 ~error:false ?root ());
+    (Tracestore.record ~window:(Window.get "query")
+       (request ~trace:ctx ~query:"fp" ~duration_ms:2.5 ?root ()));
   (match Tracestore.find (String.sub ctx.Trace.trace_id 0 8) with
-  | Some s -> Alcotest.(check string) "prefix lookup" ctx.Trace.trace_id s.Tracestore.strace_id
+  | Some s ->
+    Alcotest.(check string) "prefix lookup" ctx.Trace.trace_id s.Tracestore.req.trace.trace_id
   | None -> Alcotest.fail "prefix lookup failed");
   Alcotest.(check bool) "unknown id not found" true (Tracestore.find "ffffffff" = None);
   (* stored_json/of_json roundtrip, span tree included. *)
@@ -1409,15 +1391,14 @@ let test_tracestore_find_and_roundtrip () =
   | Some s -> (
     match Tracestore.stored_of_json (Tracestore.stored_json s) with
     | Some s' ->
-      Alcotest.(check string) "trace id roundtrips" s.Tracestore.strace_id
-        s'.Tracestore.strace_id;
-      Alcotest.(check string) "kept reason roundtrips" s.Tracestore.skept
-        s'.Tracestore.skept;
-      Alcotest.(check bool) "span tree roundtrips" true (s'.Tracestore.sroot <> None);
+      Alcotest.(check string) "trace id roundtrips" s.Tracestore.req.trace.trace_id
+        s'.Tracestore.req.trace.trace_id;
+      Alcotest.(check string) "kept reason roundtrips" s.Tracestore.kept s'.Tracestore.kept;
+      Alcotest.(check bool) "span tree roundtrips" true (s'.Tracestore.req.root <> None);
       (* The explorer rendering shows the id and the span tree. *)
       let rendered = Format.asprintf "%a" Tracestore.pp_stored s' in
       Alcotest.(check bool) "rendering names the trace" true
-        (let id = s.Tracestore.strace_id in
+        (let id = s.Tracestore.req.trace.trace_id in
          let rec has i =
            i + String.length id <= String.length rendered
            && (String.sub rendered i (String.length id) = id || has (i + 1))
@@ -1533,11 +1514,133 @@ let test_engine_trace_threading () =
       Alcotest.(check bool) "recorder event carries the trace id" true recorded;
       match Tracestore.find ctx.Trace.trace_id with
       | Some s ->
-        Alcotest.(check string) "stored under op query" "query" s.Tracestore.sop;
-        Alcotest.(check bool) "span tree stored" true (s.Tracestore.sroot <> None)
+        Alcotest.(check string) "stored under op query" "query"
+          (Request.op_name s.Tracestore.req.op);
+        Alcotest.(check bool) "span tree stored" true (s.Tracestore.req.root <> None)
       | None -> Alcotest.fail "trace not stored");
   Tracestore.clear ();
   Recorder.clear ()
+
+(* One query fans one request record out to every sink: the flight
+   recorder event, the query-log line and the trace-store entry agree
+   on every field they share. *)
+let test_request_fans_out () =
+  Tracestore.clear ();
+  Recorder.clear ();
+  Request.set_slow_threshold_ms (Some 0.0);
+  let path = Filename.temp_file "expfinder-qlog-fanout" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Request.set_slow_threshold_ms None;
+      Tracestore.clear ();
+      Recorder.clear ())
+    (fun () ->
+      with_qlog_sink path (fun () ->
+          let ctx = Trace.make ~sampled:true () in
+          with_telemetry true (fun () ->
+              let engine = Engine.create (Collab.graph ()) in
+              ignore (Engine.evaluate ~trace:ctx engine (Collab.q1 ()) : Engine.answer));
+          Qlog.close ();
+          let r =
+            match
+              List.filter (fun e -> e.Recorder.trace_id = ctx.Trace.trace_id) (Recorder.recent ())
+            with
+            | [ e ] -> e
+            | l -> Alcotest.failf "expected one recorder event, got %d" (List.length l)
+          in
+          let q =
+            match Qlog.load path with
+            | Ok [ e ] -> e
+            | Ok l -> Alcotest.failf "expected one qlog event, got %d" (List.length l)
+            | Error e -> Alcotest.fail e
+          in
+          let s =
+            match Tracestore.find ctx.Trace.trace_id with
+            | Some s -> s.Tracestore.req
+            | None -> Alcotest.fail "trace not stored"
+          in
+          let ms v = Json.to_string (Json.Float v) in
+          Alcotest.(check (list string)) "trace_id" [ r.trace_id; r.trace_id ]
+            [ q.Qlog.trace_id; s.trace.trace_id ];
+          Alcotest.(check (list string)) "duration_ms" [ ms r.duration_ms; ms r.duration_ms ]
+            [ ms q.Qlog.duration_ms; ms s.duration_ms ];
+          Alcotest.(check (list string)) "strategy" [ r.strategy; r.strategy ]
+            [ q.Qlog.strategy; s.strategy ];
+          Alcotest.(check bool) "counters recorded" true (r.counters <> []);
+          Alcotest.(check (list (list (pair string int)))) "counters"
+            [ r.counters; r.counters ] [ q.Qlog.counters; s.counters ];
+          Alcotest.(check (list bool)) "slow" [ true; true; true ] [ r.slow; q.Qlog.slow; s.slow ]))
+
+(* --- wire bytes ----------------------------------------------------------- *)
+
+(* Golden strings: the exact bytes /stats.json's recorder tail,
+   /traces.json and the v2 query log emit for one fixed event each.
+   Consumers parse these documents, so a change here is a format
+   change, not a refactor. *)
+
+let golden_trace_id = "4bf92f3577b34da6a3ce929d0e0e4736"
+
+let test_recorder_event_golden () =
+  let e =
+    {
+      Recorder.seq = 3;
+      query = "fp-golden";
+      strategy = "direct/bounded";
+      duration_ms = 1.5;
+      slow = true;
+      trace_id = golden_trace_id;
+      counters = [ ("bsim.sweeps", 4); ("engine.queries", 1) ];
+    }
+  in
+  Alcotest.(check string)
+    "recorder event bytes"
+    {|{"seq":3,"query":"fp-golden","strategy":"direct/bounded","duration_ms":1.5,"slow":true,"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","counters":{"bsim.sweeps":4,"engine.queries":1}}|}
+    (Json.to_string (Recorder.event_json e))
+
+let test_tracestore_stored_golden () =
+  (* Built through the parser so the fixture does not depend on the
+     in-memory record's shape; members arrive out of order and the
+     output is the canonical layout. *)
+  let input =
+    {|{"root":{"name":"evaluate","duration_ms":0.75,"attrs":{"query":"fp-golden"},"children":[{"name":"cache.lookup","duration_ms":0.25,"attrs":{},"children":[]}]},"kept":"error","ts_unix":1700000000.5,"error":true,"duration_ms":2.125,"query":"fp-golden","op":"query","span_id":"00f067aa0ba902b7","trace_id":"4bf92f3577b34da6a3ce929d0e0e4736"}|}
+  in
+  let stored =
+    match Json.of_string input with
+    | Error e -> Alcotest.fail e
+    | Ok j -> (
+      match Tracestore.stored_of_json j with
+      | Some s -> s
+      | None -> Alcotest.fail "fixture rejected")
+  in
+  Alcotest.(check string)
+    "stored trace bytes"
+    {|{"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","span_id":"00f067aa0ba902b7","op":"query","query":"fp-golden","duration_ms":2.125,"error":true,"kept":"error","ts_unix":1700000000.5,"root":{"name":"evaluate","duration_ms":0.75,"attrs":{"query":"fp-golden"},"children":[{"name":"cache.lookup","duration_ms":0.25,"attrs":{},"children":[]}]}}|}
+    (Json.to_string (Tracestore.stored_json stored))
+
+let test_qlog_event_golden () =
+  let e =
+    {
+      Qlog.seq = 5;
+      ts_unix = 1700000000.25;
+      kind = Qlog.Batch;
+      graph_id = 2;
+      epoch = 9;
+      query = "batch:2";
+      strategy = "batch/error";
+      duration_ms = 12.0625;
+      counters = [ ("engine.batches", 1) ];
+      pairs = 0;
+      digest = "";
+      slow = false;
+      trace_id = golden_trace_id;
+      error = Some "Failure(\"boom\")";
+      payload = Some (Json.Arr [ Json.Str "p1"; Json.Str "p2" ]);
+    }
+  in
+  Alcotest.(check string)
+    "qlog event bytes"
+    {|{"v":2,"seq":5,"ts_unix":1700000000.25,"kind":"batch","graph_id":2,"epoch":9,"query":"batch:2","strategy":"batch/error","duration_ms":12.0625,"pairs":0,"digest":"","slow":false,"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","counters":{"engine.batches":1},"error":"Failure(\"boom\")","payload":["p1","p2"]}|}
+    (Json.to_string (Qlog.event_json e))
 
 let () =
   Alcotest.run "telemetry"
@@ -1615,8 +1718,6 @@ let () =
           Alcotest.test_case "inert without a directory" `Quick
             test_postmortem_without_dir_is_inert;
         ] );
-      ( "alloc",
-        [ Alcotest.test_case "label nesting and guards" `Quick test_alloc_labels ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_histogram_percentile_bound ] );
       ( "recorder",
@@ -1645,6 +1746,7 @@ let () =
           Alcotest.test_case "chrome lanes from trace ids" `Quick
             test_chrome_lanes_from_trace_ids;
           Alcotest.test_case "engine threads the context" `Quick test_engine_trace_threading;
+          Alcotest.test_case "one request record, every sink" `Quick test_request_fans_out;
         ] );
       ( "tracestore",
         [
@@ -1660,4 +1762,10 @@ let () =
         ] );
       ( "qlog-schema",
         [ Alcotest.test_case "v1/v2 accepted, others rejected" `Quick test_qlog_schema_versions ] );
+      ( "wire bytes",
+        [
+          Alcotest.test_case "recorder event golden" `Quick test_recorder_event_golden;
+          Alcotest.test_case "tracestore stored golden" `Quick test_tracestore_stored_golden;
+          Alcotest.test_case "qlog event golden" `Quick test_qlog_event_golden;
+        ] );
     ]
