@@ -78,9 +78,9 @@ lint-dsafe-growth:
 # Pre-merge gate: lint + tests, then the whole suite again with the
 # differential self-checker on (every cached/compressed/indexed answer
 # re-verified against direct evaluation; <1s overhead), then again with
-# a 2-domain execution model forced through every ?domains default (the
-# pool serving path, parallel evaluation and the writer-domain routing
-# all switch on), then the serving-path smokes — including the
+# a 2-domain execution model forced through every ?domains default (pool
+# serving, writer-domain routing and the batch candidate scan all switch
+# on), then the serving-path smokes — including the
 # parallel-vs-sequential replay differential — and finally a soft
 # perf-regression check against the committed baseline (warn-only here:
 # quick-mode medians are too noisy to block a merge on; run bench-gate
@@ -96,9 +96,10 @@ check: lint lint-mli lint-dsafe lint-dsafe-growth
 	-@if [ -f BENCH_baseline.json ]; then $(MAKE) --no-print-directory bench-gate; fi
 
 # The full suite under a multicore execution model: EXPFINDER_DOMAINS=2
-# flips every ?domains default (server pool size, evaluate_batch,
-# compute_batch, the refinement fixpoints), so the sequential oracles
-# and their parallel twins both run everywhere the suite reaches.
+# switches on pool serving, writer-domain routing and the batch
+# candidate scan (the server pool size and evaluate_batch's ?domains,
+# which it forwards to compute_batch), so the sequential oracles and
+# their parallel twins both run everywhere the suite reaches.
 test-domains:
 	EXPFINDER_DOMAINS=2 dune runtest --force
 

@@ -222,7 +222,7 @@ let run_direct pattern snap = Planner.run pattern snap
    candidate set of the incoming query from above.  Filter it by the
    pattern's own label/predicate specs and refine below it — the exact
    kernel, without scanning the data graph for candidates. *)
-let from_containment ?(domains = 1) t pattern ~snap =
+let from_containment t pattern ~snap =
   let sid = Snapshot.id snap in
   Cache.fold t.cache ~snapshot:sid ~init:None ~f:(fun acc sup relation ->
       match acc with
@@ -251,11 +251,10 @@ let from_containment ?(domains = 1) t pattern ~snap =
            ~attrs:[ ("seed_pairs", string_of_int (Match_relation.total initial)) ]
            (fun () ->
              if Pattern.is_simulation_pattern pattern then
-               Simulation.run_constrained ~domains pattern snap ~initial
-                 ~mutable_set:None
+               Simulation.run_constrained pattern snap ~initial ~mutable_set:None
              else
-               Bounded_sim.run_constrained ~strategy:Bounded_sim.Naive ~domains
-                 pattern snap ~initial ~mutable_set:None))
+               Bounded_sim.run_constrained ~strategy:Bounded_sim.Naive pattern snap
+                 ~initial ~mutable_set:None))
 
 (* The untraced core of [evaluate]: cache -> registered kernel ->
    compressed -> cached superset (containment) -> ball index -> planner,
@@ -514,10 +513,10 @@ let evaluate ?(trace = Trace.ambient) t pattern =
    maximal kernel below any initial superset of it is the same
    fixpoint.
 
-   [?domains] (default [EXPFINDER_DOMAINS] or 1) fans the candidate
-   scan and each query's refinement across domains; every parallel
-   region merges deterministically, so answers (and counter totals) are
-   digest-equal to [~domains:1]. *)
+   [?domains] (default [EXPFINDER_DOMAINS] or 1) fans the shared
+   candidate scan of step 3 across domains; its label buckets merge
+   deterministically, so answers (and counter totals) are digest-equal
+   to [~domains:1].  Refinement always runs on the calling domain. *)
 let evaluate_batch ?(trace = Trace.ambient) ?(domains = Parallel.default_domains ()) t
     patterns =
   let arr = Array.of_list patterns in
@@ -597,7 +596,7 @@ let evaluate_batch ?(trace = Trace.ambient) ?(domains = Parallel.default_domains
               if Pattern_analysis.statically_empty pattern then
                 (empty_for pattern, Direct)
               else
-                match from_containment ~domains t pattern ~snap with
+                match from_containment t pattern ~snap with
                 | Some relation ->
                   Counter.incr m_containment;
                   incr containment_hits;
@@ -614,11 +613,11 @@ let evaluate_batch ?(trace = Trace.ambient) ?(domains = Parallel.default_domains
                         ~attrs:[ ("query", Pattern.fingerprint pattern) ]
                         (fun () ->
                           if Pattern.is_simulation_pattern pattern then
-                            Simulation.run_constrained ~domains pattern snap
-                              ~initial ~mutable_set:None
+                            Simulation.run_constrained pattern snap ~initial
+                              ~mutable_set:None
                           else
-                            Bounded_sim.run_constrained ~domains pattern snap
-                              ~initial ~mutable_set:None)
+                            Bounded_sim.run_constrained pattern snap ~initial
+                              ~mutable_set:None)
                     in
                     (relation, Direct)
             in

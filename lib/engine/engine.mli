@@ -140,12 +140,11 @@ val evaluate_batch :
     via {!last_profile}.
 
     [?domains] (default [EXPFINDER_DOMAINS], or 1 — the sequential
-    oracle) fans the shared candidate scan and each query's refinement
-    across that many domains ({!Expfinder_core.Candidates.compute_batch},
-    {!Expfinder_core.Simulation.run_constrained},
-    {!Expfinder_core.Bounded_sim.run_constrained}).  Every parallel
-    region partitions its work with a deterministic merge, so answers
-    {e and} counter totals are digest-equal to [~domains:1]. *)
+    oracle) fans the shared candidate scan across that many domains
+    ({!Expfinder_core.Candidates.compute_batch}); its label buckets
+    merge deterministically, so answers {e and} counter totals are
+    digest-equal to [~domains:1].  Refinement always runs on the
+    calling domain. *)
 
 val top_k : t -> Pattern.t -> k:int -> expert list
 (** Evaluate, build the result graph and rank the output node's matches

@@ -44,6 +44,25 @@ let ranges ~domains n =
       let hi = lo + base + if i < extra then 1 else 0 in
       (lo, hi))
 
+(* Spawn [n] domains running [body 0 .. body (n-1)], or none at all.
+   The runtime caps live domains (128 on OCaml 5.1), so a spawn can
+   fail part-way: [abort] then releases the domains already spawned
+   (e.g. by closing the channel they wait on) and they are joined
+   before the failure is re-raised, so no domain outlives the call. *)
+let spawn_all n ~abort body =
+  let spawned = ref [] in
+  match
+    for i = 0 to n - 1 do
+      spawned := Domain.spawn (body i) :: !spawned
+    done
+  with
+  | () -> Array.of_list (List.rev !spawned)
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      abort ();
+      List.iter (fun d -> ignore (Domain.join d)) !spawned;
+      Printexc.raise_with_backtrace e bt
+
 (* Chunk 0 runs on the calling domain, so [run ~domains:1 f] never
    spawns and is byte-identical to a plain call — that is what keeps
    the sequential path the oracle.  All workers are joined before the
@@ -55,8 +74,7 @@ let run ~domains f =
   else
     let capture g = match g () with v -> Ok v | exception e -> Error e in
     let workers =
-      Array.init (domains - 1) (fun i ->
-          Domain.spawn (fun () -> capture (fun () -> f (i + 1))))
+      spawn_all (domains - 1) ~abort:ignore (fun i () -> capture (fun () -> f (i + 1)))
     in
     let first = capture (fun () -> f 0) in
     let results = Array.append [| first |] (Array.map Domain.join workers) in
@@ -250,12 +268,8 @@ module Pool = struct
       in
       loop (T.now_us ())
     in
-    {
-      jobs;
-      workers = Array.init domains (fun i -> Domain.spawn (worker i));
-      on_error;
-      metrics;
-    }
+    let workers = spawn_all domains ~abort:(fun () -> Chan.close jobs) worker in
+    { jobs; workers; on_error; metrics }
 
   let size t = Array.length t.workers
   let submit t job = Chan.push t.jobs job

@@ -3,9 +3,9 @@
     Three shapes cover every use of OCaml 5 domains in this codebase:
 
     - {e fork/join} ({!run}): evaluation fans a pure chunk function out
-      across domains and joins before returning — used by the core
-      [?domains] parameters ([Candidates.compute_batch], the refinement
-      fixpoints).  Workers share nothing but the immutable snapshot.
+      across domains and joins before returning — used by the batch
+      candidate scan ([Candidates.compute_batch ?domains]).  Workers
+      share nothing but the immutable snapshot.
     - {e worker pool} ({!Pool}): the server's accept loop dispatches
       connection handlers to a fixed set of domains over a bounded
       channel ({!Chan}).
@@ -57,7 +57,9 @@ val run : domains:int -> (int -> 'a) -> 'a array
     domain, so [run ~domains:1 f] spawns nothing and is equivalent to
     [[| f 0 |]] — the sequential path stays the oracle.  All spawned
     domains are joined before returning; if any chunk raised, the
-    exception of the lowest-numbered failing chunk is re-raised. *)
+    exception of the lowest-numbered failing chunk is re-raised.  If a
+    spawn fails (the runtime caps live domains), the domains already
+    spawned are joined and the spawn failure is re-raised. *)
 
 (** Bounded multi-producer / multi-consumer channel (mutex +
     condition variables).  [push] blocks while the channel is at
@@ -110,7 +112,9 @@ module Pool : sig
       channel bounded at [capacity] (default [64]) jobs — the bound is
       the server's backpressure: when all workers are busy and the
       queue is full, {!submit} (the accept loop) blocks instead of
-      accumulating unserved connections.
+      accumulating unserved connections.  If a spawn fails (the
+      runtime caps live domains), the workers already spawned are
+      joined and the spawn failure is re-raised, so no domain leaks.
 
       The pool registers always-on metrics under [?name] (default
       ["pool"]): gauges [<name>.workers], [<name>.queue_capacity] and

@@ -425,6 +425,92 @@ let test_drill_down () =
   Alcotest.check_raises "bad pattern node" (Invalid_argument "Result_graph.drill_down")
     (fun () -> ignore (Result_graph.drill_down q g gr 9))
 
+(* --- Refinement counter totals ---------------------------------------------- *)
+
+(* Exact [sim.*]/[bsim.*]/[sparse.*] counter deltas of every refinement
+   entry point on one fixed seeded graph and bounded query.  The loops
+   tally locally and flush once per call; these goldens pin the totals
+   so a rewrite of a loop cannot silently change what it reports. *)
+let test_refinement_counter_golden () =
+  let rng = Prng.create 2026 in
+  let g =
+    Snapshot.of_digraph
+      (Generators.erdos_renyi rng ~n:120 ~m:360 (fun _ ->
+           (Prng.choose rng labels, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 4) ])))
+  in
+  let node name =
+    { Pattern.name; label = Some (Label.of_string name); pred = Predicate.always }
+  in
+  let q =
+    Pattern.make_exn
+      ~nodes:[| node "A"; node "B"; node "C" |]
+      ~edges:[ (0, 1, Pattern.Bounded 2); (1, 2, Pattern.Bounded 1); (2, 0, Pattern.Bounded 2) ]
+      ~output:0
+  in
+  let initial = Candidates.compute q g in
+  let area = Bitset.create (Snapshot.node_count g) in
+  for v = 0 to Snapshot.node_count g - 1 do
+    if v mod 3 <> 0 then Bitset.add area v
+  done;
+  let module Snap_refine = Sparse_refine.Make (Snapshot) in
+  let module Telemetry = Expfinder_telemetry in
+  let refine_counters f =
+    let before = Telemetry.Metrics.counters_snapshot () in
+    let m = f () in
+    let after = Telemetry.Metrics.counters_snapshot () in
+    ( Match_relation.total m,
+      Telemetry.Metrics.delta ~before ~after
+      |> List.filter (fun (name, _) ->
+             List.exists
+               (fun prefix -> String.starts_with ~prefix name)
+               [ "sim."; "bsim."; "sparse." ]) )
+  in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let observed =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled was)
+      (fun () ->
+        [
+          refine_counters (fun () ->
+              Simulation.run_constrained q g ~initial ~mutable_set:None);
+          refine_counters (fun () ->
+              Simulation.run_constrained q g ~initial ~mutable_set:(Some area));
+          refine_counters (fun () ->
+              Bounded_sim.run_constrained ~strategy:Bounded_sim.Counters q g ~initial
+                ~mutable_set:None);
+          refine_counters (fun () ->
+              Bounded_sim.run_constrained ~strategy:Bounded_sim.Counters q g ~initial
+                ~mutable_set:(Some area));
+          refine_counters (fun () ->
+              Bounded_sim.run_constrained ~strategy:Bounded_sim.Naive q g ~initial
+                ~mutable_set:None);
+          refine_counters (fun () ->
+              Bounded_sim.run_constrained ~strategy:Bounded_sim.Naive q g ~initial
+                ~mutable_set:(Some area));
+          refine_counters (fun () -> Snap_refine.bounded q g ~initial ~area);
+        ])
+  in
+  Alcotest.(check (list (pair int (list (pair string int)))))
+    "pairs kept and counter deltas per entry point"
+    [
+      (30, [ ("sim.removals", 90); ("sim.worklist_pops", 90) ]);
+      (85, [ ("sparse.removals", 35); ("sparse.worklist_pops", 35) ]);
+      ( 94,
+        [ ("bsim.ball_expansions", 146); ("bsim.removals", 26); ("bsim.worklist_pops", 26) ]
+      );
+      ( 102,
+        [ ("bsim.ball_expansions", 138); ("bsim.removals", 18); ("bsim.worklist_pops", 18) ]
+      );
+      (94, [ ("bsim.removals", 26); ("bsim.sweeps", 4) ]);
+      (102, [ ("bsim.removals", 18); ("bsim.sweeps", 3) ]);
+      ( 102,
+        [
+          ("sparse.ball_expansions", 98); ("sparse.removals", 18); ("sparse.worklist_pops", 18);
+        ] );
+    ]
+    observed
+
 let qcheck_cases =
   [
     QCheck.Test.make ~count:300 ~name:"digest = list-based reference" QCheck.small_int
@@ -484,6 +570,11 @@ let () =
         [
           Alcotest.test_case "contents = BFS" `Quick test_ball_index_contents;
           Alcotest.test_case "supports" `Quick test_ball_index_supports;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "refinement counter golden" `Quick
+            test_refinement_counter_golden;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]
