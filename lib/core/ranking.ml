@@ -15,39 +15,43 @@ let pp_rank ppf r =
   if r.den = 0 then Format.pp_print_string ppf "inf"
   else Format.fprintf ppf "%d/%d (%.2f)" r.num r.den (rank_to_float r)
 
-let rank_of gr v =
+(* The rank of compact node [i], summing distances as the nodes settle:
+   one search from [i] and one to it, O(reached) work each.  The
+   denominator counts a node once per direction of connectivity: the
+   paper's own worked values (f(SA,Bob) = (1+1+2+3+2)/5 with only four
+   distinct neighbours) force this reading of |V'_r|. *)
+let rank_at scratch wg i =
+  let num = ref 0 and den = ref 0 in
+  let add j d =
+    if j <> i then begin
+      num := !num + d;
+      incr den
+    end
+  in
+  Wgraph.iter_distances scratch wg i add;
+  Wgraph.iter_distances_rev scratch wg i add;
+  { num = !num; den = !den }
+
+let index_exn gr v =
   match Result_graph.index_of gr v with
   | None -> invalid_arg "Ranking.rank_of: node not in result graph"
-  | Some i ->
-    let wg = Result_graph.wgraph gr in
-    let from_v = Wgraph.dijkstra wg i in
-    let to_v = Wgraph.dijkstra_rev wg i in
-    (* The denominator counts a node once per direction of connectivity:
-       the paper's own worked values (f(SA,Bob) = (1+1+2+3+2)/5 with only
-       four distinct neighbours) force this reading of |V'_r|. *)
-    let num = ref 0 and connected = ref 0 in
-    for j = 0 to Result_graph.node_count gr - 1 do
-      if j <> i then begin
-        if to_v.(j) >= 0 then begin
-          num := !num + to_v.(j);
-          incr connected
-        end;
-        if from_v.(j) >= 0 then begin
-          num := !num + from_v.(j);
-          incr connected
-        end
-      end
-    done;
-    { num = !num; den = !connected }
+  | Some i -> i
+
+let rank_of gr v =
+  let i = index_exn gr v in
+  let wg = Result_graph.wgraph gr in
+  rank_at (Wgraph.make_scratch wg) wg i
 
 let top_k gr ~output_matches ~k =
   if k < 0 then invalid_arg "Ranking.top_k";
-  let ranked = List.map (fun v -> (v, rank_of gr v)) output_matches in
-  let sorted =
-    List.sort
-      (fun (v1, r1) (v2, r2) ->
-        let c = compare_rank r1 r2 in
-        if c <> 0 then c else compare v1 v2)
-      ranked
+  let wg = Result_graph.wgraph gr in
+  let scratch = Wgraph.make_scratch wg in
+  let ranked =
+    Array.of_list (List.map (fun v -> (v, rank_at scratch wg (index_exn gr v))) output_matches)
   in
-  List.filteri (fun i _ -> i < k) sorted
+  Array.sort
+    (fun (v1, r1) (v2, r2) ->
+      let c = compare_rank r1 r2 in
+      if c <> 0 then c else Int.compare v1 v2)
+    ranked;
+  List.init (min k (Array.length ranked)) (Array.get ranked)

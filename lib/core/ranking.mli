@@ -11,7 +11,13 @@
     — f(SA,Bob) = (1+1+2+3+2)/5 with only four distinct neighbours, and
     f(SA,Walt) = (2+2+3)/3 — force this reading.  Smaller is better
     (stronger social impact).  Ranks are exact rationals so the paper's
-    values (9/5, 7/3) are testable without float noise. *)
+    values (9/5, 7/3) are testable without float noise.
+
+    Each rank is two Dijkstra searches over the result graph's CSR
+    arrays, one forward and one reversed, summing distances as nodes
+    settle.  All searches of one call share one {!Wgraph.scratch}, so a
+    source costs work in the nodes it reaches rather than in [|V_r|],
+    and a call allocates O(|V_r| + |E_r| + |M|) words in total. *)
 
 type rank = { num : int; den : int }
 (** [den = 0] encodes +∞ (a match with no social context). *)
@@ -30,4 +36,7 @@ val rank_of : Result_graph.t -> int -> rank
 
 val top_k : Result_graph.t -> output_matches:int list -> k:int -> (int * rank) list
 (** The [k] matches with minimum rank (all of them when [k] exceeds the
-    match count), sorted by ascending rank, ties broken by node id. *)
+    match count), sorted by ascending rank, ties broken by node id.
+    Every match is ranked and sorted before the first [k] are kept.
+    O(|M|·|E_r| log |V_r|) time.
+    @raise Invalid_argument when [k < 0] or a match is not in Gr. *)

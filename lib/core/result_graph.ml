@@ -4,20 +4,20 @@ open Expfinder_pattern
 type t = {
   wg : Wgraph.t;
   node_of_index : int array;
-  index_table : (int, int) Hashtbl.t;
+  index : int array; (* data node -> compact index, -1 when unmatched *)
   pnodes_of : int list array; (* per compact index *)
 }
 
 let build pattern g m =
   let psize = Pattern.size pattern in
   (* Collect matched data nodes into a compact index space. *)
-  let index_table = Hashtbl.create 64 in
+  let index = Array.make (Snapshot.node_count g) (-1) in
   let order = Vec.create ~dummy:(-1) () in
   for u = 0 to psize - 1 do
     List.iter
       (fun v ->
-        if not (Hashtbl.mem index_table v) then begin
-          Hashtbl.add index_table v (Vec.length order);
+        if index.(v) < 0 then begin
+          index.(v) <- Vec.length order;
           Vec.push order v
         end)
       (Match_relation.matches m u)
@@ -27,12 +27,11 @@ let build pattern g m =
   let pnodes_of = Array.make (max count 1) [] in
   for u = psize - 1 downto 0 do
     List.iter
-      (fun v ->
-        let i = Hashtbl.find index_table v in
-        pnodes_of.(i) <- u :: pnodes_of.(i))
+      (fun v -> pnodes_of.(index.(v)) <- u :: pnodes_of.(index.(v)))
       (Match_relation.matches m u)
   done;
-  let wg = Wgraph.create count in
+  let src = Vec.create ~dummy:0 () and dst = Vec.create ~dummy:0 () in
+  let weight = Vec.create ~dummy:0 () in
   let scratch = Distance.make_scratch g in
   List.iter
     (fun (u, u', b) ->
@@ -40,13 +39,20 @@ let build pattern g m =
       let targets = Match_relation.matches_set m u' in
       List.iter
         (fun v ->
-          let vi = Hashtbl.find index_table v in
+          let vi = index.(v) in
           Distance.ball scratch g v k (fun w d ->
-              if Bitset.mem targets w then
-                Wgraph.add_edge wg vi (Hashtbl.find index_table w) d))
+              if Bitset.mem targets w then begin
+                Vec.push src vi;
+                Vec.push dst index.(w);
+                Vec.push weight d
+              end))
         (Match_relation.matches m u))
     (Pattern.edges pattern);
-  { wg; node_of_index; index_table; pnodes_of }
+  let wg =
+    Wgraph.of_edges count ~src:(Vec.to_array src) ~dst:(Vec.to_array dst)
+      ~weight:(Vec.to_array weight)
+  in
+  { wg; node_of_index; index; pnodes_of }
 
 let node_count t = Array.length t.node_of_index
 
@@ -54,9 +60,10 @@ let edge_count t = Wgraph.edge_count t.wg
 
 let data_nodes t = List.sort compare (Array.to_list t.node_of_index)
 
-let index_of t v = Hashtbl.find_opt t.index_table v
+let index_of t v =
+  if v >= 0 && v < Array.length t.index && t.index.(v) >= 0 then Some t.index.(v) else None
 
-let mem_data_node t v = Hashtbl.mem t.index_table v
+let mem_data_node t v = Option.is_some (index_of t v)
 
 let data_node_of t i =
   if i < 0 || i >= node_count t then invalid_arg "Result_graph.data_node_of";

@@ -8,12 +8,18 @@ open Expfinder_pattern
     bound [k] and matches [v ∈ sim(u)], [v' ∈ sim(u')] with
     [0 < dist(v,v') <= k], an edge [(v,v')] weighted by the shortest-path
     length [dist(v,v')].  Gr is both what the GUI visualises and the
-    input of the social-impact ranking. *)
+    input of the social-impact ranking.
+
+    Matched data nodes get compact indices through a dense array over
+    the data graph's nodes; the witness edges found by the bounded ball
+    walks are collected as flat [(v, v', d)] triples and frozen once into
+    a CSR {!Wgraph.t}. *)
 
 type t
 
 val build : Pattern.t -> Snapshot.t -> Match_relation.t -> t
-(** Builds Gr for a kernel relation (empty relation gives an empty Gr). *)
+(** Builds Gr for a kernel relation (empty relation gives an empty Gr).
+    The relation must come from this snapshot. *)
 
 val node_count : t -> int
 

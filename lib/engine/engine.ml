@@ -224,17 +224,19 @@ let run_direct pattern snap = Planner.run pattern snap
    kernel, without scanning the data graph for candidates. *)
 let from_containment t pattern ~snap =
   let sid = Snapshot.id snap in
-  Cache.fold t.cache ~snapshot:sid ~init:None ~f:(fun acc sup relation ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        if
-          Match_relation.is_total relation
-          && not (Pattern.equal sup pattern)
-        then
-          Pattern_analysis.superset_map ~sub:pattern ~sup
-          |> Option.map (fun map -> (map, relation))
-        else None)
+  (* Try the cached kernels smallest first, ties by fingerprint: the
+     tightest superset seeds the least refinement, and the choice does
+     not follow the cache's hash order, which varies with the graph's
+     identity (two engines over equal graphs would otherwise refine from
+     different supersets and report different work). *)
+  Cache.fold t.cache ~snapshot:sid ~init:[] ~f:(fun acc sup relation ->
+      if Match_relation.is_total relation && not (Pattern.equal sup pattern) then
+        ((Match_relation.total relation, Pattern.fingerprint sup), sup, relation) :: acc
+      else acc)
+  |> List.sort (fun (k1, _, _) (k2, _, _) -> compare k1 k2)
+  |> List.find_map (fun (_, sup, relation) ->
+         Pattern_analysis.superset_map ~sub:pattern ~sup
+         |> Option.map (fun map -> (map, relation)))
   |> Option.map (fun (map, sup_relation) ->
          let initial =
            Match_relation.create ~pattern_size:(Pattern.size pattern)
@@ -468,12 +470,15 @@ let answer_of t pattern ~snap relation provenance =
     digest = lazy (Cache.digest t.cache pattern ~snapshot:(Snapshot.id snap) relation);
   }
 
-let evaluate ?(trace = Trace.ambient) t pattern =
+(* [evaluate] together with the snapshot its answer was computed on:
+   whatever is derived from the answer (result graph, ranking) must read
+   that snapshot, not a later [snapshot t] a writer may have advanced. *)
+let evaluate_pinned ?(trace = Trace.ambient) t pattern =
   let fp = Pattern.fingerprint pattern in
-  let answer, req =
+  let (answer, snap), req =
     serve t c_query ~trace ~query:fp ~attrs:[ ("query", fp) ]
       ~payload:(fun () -> Json.Str (Pattern_io.to_string pattern))
-      ~logged:(fun a -> (Match_relation.total a.relation, Lazy.force a.digest))
+      ~logged:(fun (a, _) -> (Match_relation.total a.relation, Lazy.force a.digest))
       (fun () ->
         Counter.incr m_queries;
         let snap, relation, provenance, strategy, via_direct = evaluate_inner t pattern in
@@ -481,17 +486,20 @@ let evaluate ?(trace = Trace.ambient) t pattern =
         Counter.incr (provenance_counter provenance);
         annotate "provenance" (provenance_name provenance);
         annotate_int "pairs" (Match_relation.total relation);
-        (answer_of t pattern ~snap relation provenance, strategy, snap))
+        ((answer_of t pattern ~snap relation provenance, snap), strategy, snap))
   in
   Log.debug (fun m ->
       m "evaluate %s: %d pairs via %s" fp (Match_relation.total answer.relation)
         (provenance_name answer.provenance));
-  {
-    answer with
-    profile =
-      profile_of t ~query:fp ~provenance:answer.provenance ~trace_id:trace.Trace.trace_id
-        ~counters:req.counters req.root;
-  }
+  ( {
+      answer with
+      profile =
+        profile_of t ~query:fp ~provenance:answer.provenance ~trace_id:trace.Trace.trace_id
+          ~counters:req.counters req.root;
+    },
+    snap )
+
+let evaluate ?trace t pattern = fst (evaluate_pinned ?trace t pattern)
 
 (* ------------------------------------------------------------------ *)
 (* Batched evaluation                                                   *)
@@ -659,14 +667,14 @@ let evaluate_batch ?(trace = Trace.ambient) ?(domains = Parallel.default_domains
   answers
 
 let result_graph t pattern =
-  let answer = evaluate t pattern in
+  let answer, snap = evaluate_pinned t pattern in
   let relation =
     if answer.total then answer.relation
     else
       Match_relation.create ~pattern_size:(Pattern.size pattern)
-        ~graph_size:(Digraph.node_count t.g)
+        ~graph_size:(Snapshot.node_count snap)
   in
-  Result_graph.build pattern (snapshot t) relation
+  Result_graph.build pattern snap relation
 
 let top_k t pattern ~k =
   Counter.incr m_topk;
@@ -674,10 +682,9 @@ let top_k t pattern ~k =
   match
     measured ~trace:Trace.ambient ~attrs:[ ("query", fp); ("k", string_of_int k) ] "topk"
       (fun () ->
-        let answer = evaluate t pattern in
+        let answer, snap = evaluate_pinned t pattern in
         if not answer.total then ([], answer.provenance)
         else begin
-          let snap = snapshot t in
           let gr =
             with_span "result_graph" (fun () ->
                 Result_graph.build pattern snap answer.relation)

@@ -148,10 +148,13 @@ val evaluate_batch :
 
 val top_k : t -> Pattern.t -> k:int -> expert list
 (** Evaluate, build the result graph and rank the output node's matches
-    (§II Results Ranking).  Empty when M(Q,G) is empty. *)
+    (§II Results Ranking).  Empty when M(Q,G) is empty.  The result graph
+    is built on the snapshot the answer was computed on, even when a
+    writer publishes a newer epoch in between. *)
 
 val result_graph : t -> Pattern.t -> Result_graph.t
-(** The result graph of the query (for display / export). *)
+(** The result graph of the query (for display / export), built on the
+    snapshot the answer was computed on. *)
 
 val enable_ball_index : ?radius:int -> t -> unit
 (** Opt into the precomputed distance index (default radius 3): bounded

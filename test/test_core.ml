@@ -324,6 +324,107 @@ let test_top_k_sizes () =
   Alcotest.check_raises "k<0" (Invalid_argument "Ranking.top_k") (fun () ->
       ignore (Ranking.top_k gr ~output_matches:matches ~k:(-1)))
 
+(* Reference ranking straight from the definition: all-pairs distances
+   over the result graph's edges by Floyd-Warshall, then f(u_o, v)
+   summed over every other node that reaches v and every other node v
+   reaches, one count per direction (the denominator's reading in
+   ranking.mli).  Sorted by exact rational comparison, +inf last, ties
+   by node id. *)
+let reference_ranks gr output_matches =
+  let nodes = Array.of_list (Result_graph.data_nodes gr) in
+  let n = Array.length nodes in
+  let pos = Hashtbl.create 16 in
+  Array.iteri (fun i v -> Hashtbl.replace pos v i) nodes;
+  let inf = max_int in
+  let dist = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0 else inf)) in
+  Result_graph.iter_edges gr (fun v v' d ->
+      let i = Hashtbl.find pos v and j = Hashtbl.find pos v' in
+      if d < dist.(i).(j) then dist.(i).(j) <- d);
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if dist.(i).(k) < inf && dist.(k).(j) < inf && dist.(i).(k) + dist.(k).(j) < dist.(i).(j)
+        then dist.(i).(j) <- dist.(i).(k) + dist.(k).(j)
+      done
+    done
+  done;
+  let rank v =
+    let i = Hashtbl.find pos v in
+    let num = ref 0 and den = ref 0 in
+    for j = 0 to n - 1 do
+      if j <> i then
+        List.iter
+          (fun d ->
+            if d < inf then begin
+              num := !num + d;
+              incr den
+            end)
+          [ dist.(j).(i); dist.(i).(j) ]
+    done;
+    { Ranking.num = !num; den = !den }
+  in
+  let before (v1, (r1 : Ranking.rank)) (v2, (r2 : Ranking.rank)) =
+    let c =
+      match (r1.den, r2.den) with
+      | 0, 0 -> 0
+      | 0, _ -> 1
+      | _, 0 -> -1
+      | _ -> compare (r1.num * r2.den) (r2.num * r1.den)
+    in
+    if c <> 0 then c else compare v1 v2
+  in
+  List.sort before (List.map (fun v -> (v, rank v)) output_matches)
+
+let prop_ranking_matches_floyd_warshall seed =
+  let rng = Prng.create seed in
+  let g = Snapshot.of_digraph (random_graph rng) in
+  let pattern = random_pattern rng ~simulation:false ~unbounded:(Prng.bool rng) in
+  let m = Bounded_sim.run pattern g in
+  let gr = Result_graph.build pattern g m in
+  let matches = Match_relation.matches m (Pattern.output pattern) in
+  let expected = reference_ranks gr matches in
+  let size = List.length matches in
+  List.for_all (fun (v, r) -> Ranking.rank_of gr v = r) expected
+  && List.for_all
+       (fun k ->
+         Ranking.top_k gr ~output_matches:matches ~k = List.filteri (fun i _ -> i < k) expected)
+       [ 0; 1; 2; size; size + 3; Prng.int rng (size + 1) ]
+
+(* The ranking kernel's allocation is one scratch for the whole call plus
+   O(1) words per match: it must not grow with |M| x |V_r|, which is what
+   two fresh distance arrays per Dijkstra run cost. *)
+let test_top_k_allocation_bound () =
+  let g = Snapshot.of_digraph (Expfinder_workload.Twitter.generate (Prng.create 42) ~n:10000) in
+  let node name pred = { Pattern.name; label = Some (Label.of_string name); pred } in
+  let p =
+    Pattern.make_exn
+      ~nodes:[| node "ML" Predicate.always; node "DB" Predicate.always |]
+      ~edges:[ (0, 1, Pattern.Bounded 3) ]
+      ~output:0
+  in
+  let m = Bounded_sim.run p g in
+  let gr = Result_graph.build p g m in
+  let matches = Match_relation.matches m 0 in
+  let v_r = Result_graph.node_count gr and e_r = Result_graph.edge_count gr in
+  let m_o = List.length matches in
+  Alcotest.(check bool) "result graph has >= 2000 nodes" true (v_r >= 2000);
+  Alcotest.(check bool) "at least 500 output matches" true (m_o >= 500);
+  (* [Gc.minor_words] is exact on OCaml 5; the counters' minor field is
+     not, so only their direct major allocations (net of promotions,
+     already counted as minor words) are added. *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  let top = Ranking.top_k gr ~output_matches:matches ~k:10 in
+  let allocated = words () -. before in
+  Alcotest.(check int) "ten experts" 10 (List.length top);
+  let budget = 16 * (v_r + e_r + m_o) in
+  if allocated > float_of_int budget then
+    Alcotest.failf "top_k allocated %.0f words, over the %d-word budget 16 x (|V_r| + |E_r| + |M|)"
+      allocated budget
+
 let prop_result_graph_weights_within_bounds seed =
   let rng = Prng.create seed in
   let g = Snapshot.of_digraph (random_graph rng) in
@@ -531,6 +632,8 @@ let qcheck_cases =
       (fun s -> prop_relaxing_bounds_grows_matches (s + 1));
     QCheck.Test.make ~count:60 ~name:"result-graph weights within bounds" QCheck.small_int
       (fun s -> prop_result_graph_weights_within_bounds (s + 1));
+    QCheck.Test.make ~count:200 ~name:"ranking = Floyd-Warshall reference" QCheck.small_int
+      (fun s -> prop_ranking_matches_floyd_warshall (s + 1));
     QCheck.Test.make ~count:60 ~name:"ball-index evaluate = bsim" QCheck.small_int
       (fun s -> prop_ball_index_evaluate (s + 1));
   ]
@@ -560,6 +663,7 @@ let () =
           Alcotest.test_case "isolated = infinite" `Quick test_rank_isolated_node_infinite;
           Alcotest.test_case "compare" `Quick test_rank_compare;
           Alcotest.test_case "top-k sizes" `Quick test_top_k_sizes;
+          Alcotest.test_case "top-k allocation bound" `Quick test_top_k_allocation_bound;
         ] );
       ( "views",
         [

@@ -68,6 +68,43 @@ let test_top_k_empty_when_no_match () =
   let p = Pattern.make_exn ~nodes ~edges:[] ~output:0 in
   Alcotest.(check int) "no experts" 0 (List.length (Engine.top_k engine p ~k:5))
 
+(* Golden pin of the full ranked answer of [Engine.top_k ~k:max_int] on
+   a seeded Twitter graph: for each of 8 seeded bounded patterns, the
+   number of ranked experts and the MD5 of their "node:num/den" list.
+   Any change to the result-graph construction or the ranking kernel
+   that moves a rank, a tie order or the +inf tail shows up here. *)
+let twitter_topk_golden =
+  [
+    (2, "87b6b7b34d8a6d07f5a112575f3564a9");
+    (24, "0ef2f8ebca678849d87e61bb37a023a7");
+    (16, "9c9f72af9d6e39a621256c69b070b79e");
+    (22, "34f97efb2cecedcf844aa3e9c1f488fa");
+    (0, "d41d8cd98f00b204e9800998ecf8427e");
+    (33, "704e4e232bee31424463997b960b6cd1");
+    (4, "f53203e786a05617597d332c40ab2184");
+    (52, "07812525d06a028a7b0798d99deb0002");
+  ]
+
+let test_top_k_golden () =
+  let g = Expfinder_workload.Twitter.generate (Prng.create 1) ~n:2000 in
+  let engine = Engine.create g in
+  let patterns = Queries.workload (Prng.create 11) ~count:8 ~simulation:false g in
+  let pinned =
+    List.map
+      (fun p ->
+        let experts = Engine.top_k engine p ~k:max_int in
+        let listing =
+          String.concat ";"
+            (List.map
+               (fun (e : Engine.expert) ->
+                 Printf.sprintf "%d:%d/%d" e.node e.rank.Ranking.num e.rank.Ranking.den)
+               experts)
+        in
+        (List.length experts, Digest.to_hex (Digest.string listing)))
+      patterns
+  in
+  Alcotest.(check (list (pair int string))) "ranked lists" twitter_topk_golden pinned
+
 let test_updates_invalidate_cache () =
   let engine = Engine.create (Collab.graph ()) in
   let q = Collab.query () in
@@ -379,6 +416,7 @@ let () =
           Alcotest.test_case "names and order" `Quick test_top_k_names;
           Alcotest.test_case "empty on no match" `Quick test_top_k_empty_when_no_match;
           Alcotest.test_case "empty result graph" `Quick test_result_graph_empty_when_no_match;
+          Alcotest.test_case "twitter ranked-list golden" `Quick test_top_k_golden;
         ] );
       ( "features",
         [

@@ -166,13 +166,15 @@ let test_pattern_gen_unbounded_stats () =
 (* --- wgraph validation ---------------------------------------------------- *)
 
 let test_wgraph_validation () =
-  let w = Wgraph.create 3 in
-  Alcotest.check_raises "negative weight" (Invalid_argument "Wgraph.add_edge: negative weight")
-    (fun () -> Wgraph.add_edge w 0 1 (-1));
+  let edge u v d = ignore (Wgraph.of_edges 3 ~src:[| u |] ~dst:[| v |] ~weight:[| d |]) in
+  Alcotest.check_raises "negative weight" (Invalid_argument "Wgraph.of_edges: negative weight")
+    (fun () -> edge 0 1 (-1));
   Alcotest.check_raises "unknown node" (Invalid_argument "Wgraph: unknown node") (fun () ->
-      Wgraph.add_edge w 0 7 1);
-  Alcotest.check_raises "negative size" (Invalid_argument "Wgraph.create") (fun () ->
-      ignore (Wgraph.create (-1)))
+      edge 0 7 1);
+  Alcotest.check_raises "negative size" (Invalid_argument "Wgraph.of_edges") (fun () ->
+      ignore (Wgraph.of_edges (-1) ~src:[||] ~dst:[||] ~weight:[||]));
+  Alcotest.check_raises "ragged edge arrays" (Invalid_argument "Wgraph.of_edges") (fun () ->
+      ignore (Wgraph.of_edges 3 ~src:[| 0 |] ~dst:[||] ~weight:[| 1 |]))
 
 let qcheck_cases =
   [

@@ -163,26 +163,6 @@ let test_bitset_iter_mutation () =
   Alcotest.(check (list int)) "word snapshots" [ 1; 2; 62; 70; 130; 199 ] (List.rev !seen);
   Alcotest.(check (list int)) "set after" [ 1; 70; 130; 199 ] (Bitset.to_list s)
 
-(* --- Pqueue ----------------------------------------------------------- *)
-
-let test_pqueue_order () =
-  let h = Pqueue.create () in
-  List.iter (fun p -> Pqueue.push h p p) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let rec drain acc =
-    match Pqueue.pop_min h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (drain [])
-
-let prop_pqueue_sorts seed =
-  let rng = Prng.create seed in
-  let xs = List.init (1 + Prng.int rng 100) (fun _ -> Prng.int rng 1000) in
-  let h = Pqueue.create () in
-  List.iter (fun x -> Pqueue.push h x x) xs;
-  let rec drain acc =
-    match Pqueue.pop_min h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-  in
-  drain [] = List.sort compare xs
-
 (* --- Label / Attr / Attrs --------------------------------------------- *)
 
 let test_label_interning () =
@@ -382,11 +362,9 @@ let prop_reach_equals_bfs seed =
 (* --- Wgraph ------------------------------------------------------------ *)
 
 let test_wgraph_dijkstra () =
-  let w = Wgraph.create 5 in
-  Wgraph.add_edge w 0 1 2;
-  Wgraph.add_edge w 1 2 2;
-  Wgraph.add_edge w 0 2 10;
-  Wgraph.add_edge w 2 3 1;
+  let w =
+    Wgraph.of_edges 5 ~src:[| 0; 1; 0; 2 |] ~dst:[| 1; 2; 2; 3 |] ~weight:[| 2; 2; 10; 1 |]
+  in
   let d = Wgraph.dijkstra w 0 in
   Alcotest.(check int) "d(2) via 1" 4 d.(2);
   Alcotest.(check int) "d(3)" 5 d.(3);
@@ -395,10 +373,7 @@ let test_wgraph_dijkstra () =
   Alcotest.(check int) "rev d(0)" 5 dr.(0)
 
 let test_wgraph_min_weight_kept () =
-  let w = Wgraph.create 2 in
-  Wgraph.add_edge w 0 1 5;
-  Wgraph.add_edge w 0 1 3;
-  Wgraph.add_edge w 0 1 7;
+  let w = Wgraph.of_edges 2 ~src:[| 0; 0; 0 |] ~dst:[| 1; 1; 1 |] ~weight:[| 5; 3; 7 |] in
   Alcotest.(check (option int)) "min kept" (Some 3) (Wgraph.weight w 0 1);
   Alcotest.(check int) "single edge" 1 (Wgraph.edge_count w)
 
@@ -411,8 +386,13 @@ let prop_dijkstra_unit_weights_is_bfs seed =
       (Generators.erdos_renyi rng ~n ~m:(Prng.int rng (3 * n)) (fun _ ->
            (labels.(0), Attrs.empty)))
   in
-  let w = Wgraph.create n in
-  Snapshot.iter_edges g (fun u v -> Wgraph.add_edge w u v 1);
+  let edges = ref [] in
+  Snapshot.iter_edges g (fun u v -> edges := (u, v) :: !edges);
+  let edges = Array.of_list !edges in
+  let w =
+    Wgraph.of_edges n ~src:(Array.map fst edges) ~dst:(Array.map snd edges)
+      ~weight:(Array.make (Array.length edges) 1)
+  in
   let src = Prng.int rng n in
   Wgraph.dijkstra w src = Distance.distances_from g src
 
@@ -539,8 +519,6 @@ let qcheck_cases =
     QCheck.Test.make ~count:300 ~name:"iter = filter mem"
       QCheck.(pair (int_range 1 300) (small_list small_nat))
       prop_iter_is_filter_mem;
-    QCheck.Test.make ~count:100 ~name:"pqueue sorts" QCheck.small_int (fun s ->
-        prop_pqueue_sorts (s + 1));
     QCheck.Test.make ~count:50 ~name:"csr roundtrip" QCheck.small_int (fun s ->
         prop_csr_roundtrip (s + 1));
     QCheck.Test.make ~count:30 ~name:"reach = bfs" QCheck.small_int (fun s ->
@@ -572,7 +550,6 @@ let () =
           Alcotest.test_case "set ops" `Quick test_bitset_setops;
           Alcotest.test_case "iter under mutation" `Quick test_bitset_iter_mutation;
         ] );
-      ("pqueue", [ Alcotest.test_case "ordering" `Quick test_pqueue_order ]);
       ( "attrs",
         [
           Alcotest.test_case "label interning" `Quick test_label_interning;

@@ -103,12 +103,16 @@ let bellman_ford w src =
 
 let random_wgraph rng =
   let n = 1 + Prng.int rng 20 in
-  let w = Wgraph.create n in
+  let edges = ref [] in
   for _ = 1 to Prng.int rng (3 * n) do
     let u = Prng.int rng n and v = Prng.int rng n in
-    if u <> v then Wgraph.add_edge w u v (1 + Prng.int rng 9)
+    if u <> v then edges := (u, v, 1 + Prng.int rng 9) :: !edges
   done;
-  w
+  let edges = Array.of_list (List.rev !edges) in
+  Wgraph.of_edges n
+    ~src:(Array.map (fun (u, _, _) -> u) edges)
+    ~dst:(Array.map (fun (_, v, _) -> v) edges)
+    ~weight:(Array.map (fun (_, _, d) -> d) edges)
 
 let prop_dijkstra_reference seed =
   let rng = Prng.create seed in

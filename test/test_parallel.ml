@@ -361,6 +361,70 @@ let test_concurrent_readers_during_updates () =
   Alcotest.(check int) "every answer matched some published epoch" 0 bad;
   Alcotest.(check int) "every memoised digest is its answer's" 0 bad_memo
 
+let test_top_k_ranks_its_own_snapshot () =
+  (* A reader ranks experts while a writer publishes epochs.  Each
+     ranking must be the one computed on a single published snapshot:
+     the relation of epoch e ranked over the result graph of epoch e,
+     never over a later epoch the writer published between evaluation
+     and ranking.  A stress test: the window is narrow, so an engine
+     that re-reads the snapshot after evaluating fails only on some
+     runs. *)
+  let rng = Prng.create 29 in
+  let g = Expfinder_workload.Twitter.generate (Prng.create 3) ~n:500 in
+  let rank_on p snap =
+    let rel = Planner.run p snap in
+    if not (Match_relation.is_total rel) then []
+    else
+      Ranking.top_k (Result_graph.build p snap rel)
+        ~output_matches:(Match_relation.matches rel (Expfinder_pattern.Pattern.output p))
+        ~k:max_int
+  in
+  let p =
+    let initial = Snapshot.of_digraph g in
+    match
+      List.find_opt
+        (fun p -> List.length (rank_on p initial) >= 3)
+        (Queries.workload (Prng.create 7) ~nodes:3 ~count:20 ~simulation:false g)
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "workload has no pattern with three ranked experts"
+  in
+  let engine = Engine.create g in
+  let shadow = Digraph.copy g in
+  let batches =
+    List.init 40 (fun _ ->
+        let batch = Update.random_mixed rng shadow 6 in
+        ignore (Update.apply_batch_filtered shadow batch : Update.t list);
+        batch)
+  in
+  let published = ref [ Engine.snapshot engine ] in
+  let stop = Atomic.make false and rounds = Atomic.make 0 in
+  let reader =
+    Domain.spawn (fun () ->
+        let seen = ref [] in
+        while not (Atomic.get stop) do
+          let experts = Engine.top_k engine p ~k:max_int in
+          seen := List.map (fun (e : Engine.expert) -> (e.node, e.rank)) experts :: !seen;
+          Atomic.incr rounds
+        done;
+        !seen)
+  in
+  (* Publish each epoch only once the reader has ranked since the last
+     one, so every write lands while a ranking is in flight. *)
+  List.iteri
+    (fun i batch ->
+      while Atomic.get rounds <= i do
+        Domain.cpu_relax ()
+      done;
+      ignore (Engine.apply_updates engine batch : Incremental.report list);
+      published := Engine.snapshot engine :: !published)
+    batches;
+  Atomic.set stop true;
+  let seen = Domain.join reader in
+  let valid = List.map (rank_on p) !published in
+  let foreign = List.filter (fun r -> not (List.mem r valid)) seen in
+  Alcotest.(check int) "every ranking is one published snapshot's" 0 (List.length foreign)
+
 (* --- per-domain trace roots -------------------------------------------- *)
 
 let test_domain_local_trace_roots () =
@@ -431,6 +495,8 @@ let () =
             test_pinned_snapshot_under_writer;
           Alcotest.test_case "engine readers during updates" `Quick
             test_concurrent_readers_during_updates;
+          Alcotest.test_case "top-k ranks its own snapshot" `Quick
+            test_top_k_ranks_its_own_snapshot;
           Alcotest.test_case "per-domain trace roots" `Quick
             test_domain_local_trace_roots;
         ] );
